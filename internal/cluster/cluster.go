@@ -16,12 +16,13 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"nimblock/internal/admit"
+	"nimblock/internal/dispatch"
 	"nimblock/internal/faults"
 	"nimblock/internal/health"
 	"nimblock/internal/hv"
@@ -136,7 +137,6 @@ type SubmitOptions struct {
 
 // submission is the cluster-side record of one Submit call.
 type submission struct {
-	idx      int
 	g        *taskgraph.Graph
 	batch    int
 	priority int
@@ -144,36 +144,20 @@ type submission struct {
 	opts     SubmitOptions
 }
 
-// Cluster fronts N hypervisors with an arrival-time dispatcher.
+// job is one submission as the orchestration core tracks it.
+type job = dispatch.Job[*submission]
+
+// Cluster fronts N hypervisors with an arrival-time dispatcher. The
+// embedded core owns boards, admission and failover; the cluster adds
+// its dispatch policies and hedging (see failover.go).
 type Cluster struct {
-	eng      *sim.Engine
-	cfg      Config
-	boards   []hv.Instance
-	rng      *rand.Rand
-	next     int // round-robin cursor
-	expected int
-	placed   map[int]int // submission index -> board
-
-	ctrl     *admit.Controller
-	buffer   []*submission             // same-instant arrivals awaiting the canonical drain
-	tickets  []map[int64]*admit.Ticket // board -> local app ID -> admission ticket
-	idxOf    []map[int64]int           // board -> local app ID -> submission index
-	rejected map[int]*submission       // submission index -> rejected record
-	reasons  map[int]string            // submission index -> admission outcome
-	errs     []error                   // dispatch-time submit failures
-
-	// Failure-domain state (nil/empty when Config.Health is off; see
-	// failover.go).
-	mkPolicy func(hv.Config) sched.Scheduler // retained to rebuild dead boards
-	mon      *health.Monitor
-	hopt     health.Options
-	subs     map[int]*submission // submission index -> record (for re-dispatch)
-	retries  map[int]int         // submission index -> re-dispatches so far
-	failed   map[int]string      // submission index -> terminal failure reason
-	lastOn   map[int]int         // submission index -> last board that held it
-	parked   []parkedWork        // evacuees waiting for a placeable board
-	hedges   map[int]*hedge      // submission index -> hedge state
-	done     map[int]Result      // results harvested off boards that later died
+	*dispatch.Core[*submission]
+	eng    *sim.Engine
+	cfg    Config
+	rng    *rand.Rand
+	next   int            // round-robin cursor
+	buffer []*job         // same-instant arrivals awaiting the canonical drain
+	hedges map[int]*hedge // submission index -> hedge state
 }
 
 // New builds a cluster; mkPolicy supplies a fresh scheduling policy per
@@ -181,74 +165,27 @@ type Cluster struct {
 // board's configuration so policies that plan against board shape (the
 // Nimblock goal-number analysis) work on heterogeneous clusters.
 func New(eng *sim.Engine, cfg Config, mkPolicy func(board hv.Config) sched.Scheduler) (*Cluster, error) {
-	if cfg.Boards < 1 {
-		return nil, fmt.Errorf("cluster: need at least one board, got %d", cfg.Boards)
-	}
-	if mkPolicy == nil {
-		return nil, fmt.Errorf("cluster: nil policy factory")
-	}
-	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
-		return nil, fmt.Errorf("cluster: %d board configs for %d boards", len(cfg.BoardConfigs), cfg.Boards)
-	}
-	c := &Cluster{
-		eng:      eng,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		placed:   map[int]int{},
-		rejected: map[int]*submission{},
-		reasons:  map[int]string{},
-		mkPolicy: mkPolicy,
-		subs:     map[int]*submission{},
-	}
-	if cfg.Admission != nil {
-		ctrl, err := admit.New(*cfg.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.ctrl = ctrl
-	}
-	for i := 0; i < cfg.Boards; i++ {
-		h, err := c.newBoard(i)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: board %d: %w", i, err)
-		}
-		c.boards = append(c.boards, h)
-		c.tickets = append(c.tickets, map[int64]*admit.Ticket{})
-		c.idxOf = append(c.idxOf, map[int64]int{})
-	}
-	if err := c.initHealth(); err != nil {
+	c := &Cluster{eng: eng, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	core, err := dispatch.New(eng, dispatch.Config{
+		Name:         "cluster",
+		Boards:       cfg.Boards,
+		HV:           cfg.HV,
+		BoardConfigs: cfg.BoardConfigs,
+		Seed:         cfg.Seed,
+		Admission:    cfg.Admission,
+		Health:       cfg.Health,
+		BoardFaults:  cfg.BoardFaults,
+	}, mkPolicy, dispatch.Hooks[*submission]{
+		Land:      c.land,
+		Dispatch:  c.dispatch,
+		Retired:   c.retired,
+		Evacuated: c.evacuated,
+	})
+	if err != nil {
 		return nil, err
 	}
+	c.Core = core
 	return c, nil
-}
-
-// newBoard builds (or rebuilds, after a recovery) board i's hypervisor
-// with the cluster's retire hook chained onto any user-provided one.
-func (c *Cluster) newBoard(i int) (hv.Instance, error) {
-	bcfg := c.boardConfig(i)
-	board, user := i, bcfg.OnRetire
-	bcfg.OnRetire = func(id int64) {
-		if user != nil {
-			user(id)
-		}
-		c.onRetire(board, id)
-	}
-	return hv.New(c.eng, bcfg, c.mkPolicy(bcfg))
-}
-
-// Boards reports the cluster size.
-func (c *Cluster) Boards() int { return len(c.boards) }
-
-// Board exposes one board's backend (for tests and reports).
-func (c *Cluster) Board(i int) hv.Instance { return c.boards[i] }
-
-// AdmissionStats reports the admission controller's counters; the zero
-// Stats when admission is disabled.
-func (c *Cluster) AdmissionStats() admit.Stats {
-	if c.ctrl == nil {
-		return admit.Stats{}
-	}
-	return c.ctrl.Stats()
 }
 
 // Submit schedules an application arrival under the default tenant with
@@ -263,17 +200,15 @@ func (c *Cluster) SubmitWith(g *taskgraph.Graph, batch, priority int, arrival si
 	if g == nil {
 		return fmt.Errorf("cluster: nil graph")
 	}
-	sub := &submission{idx: c.expected, g: g, batch: batch, priority: priority, opts: opts}
-	c.subs[sub.idx] = sub
-	c.expected++
+	j := c.NewJob(&submission{g: g, batch: batch, priority: priority, opts: opts})
 	c.eng.At(arrival, func() {
 		// Buffer and drain once all arrivals at this instant are in: the
 		// drain's After(0) event sorts after every Submit event already
 		// queued at the same time, so simultaneous submissions are
 		// admitted and dispatched in one canonical pass (by submission
 		// index) no matter how their events were interleaved.
-		sub.arrival = c.eng.Now()
-		c.buffer = append(c.buffer, sub)
+		j.Work.arrival = c.eng.Now()
+		c.buffer = append(c.buffer, j)
 		if len(c.buffer) == 1 {
 			c.eng.After(0, c.drain)
 		}
@@ -285,287 +220,149 @@ func (c *Cluster) SubmitWith(g *taskgraph.Graph, batch, priority int, arrival si
 func (c *Cluster) drain() {
 	batch := c.buffer
 	c.buffer = nil
-	sort.Slice(batch, func(i, j int) bool { return batch[i].idx < batch[j].idx })
-	for _, sub := range batch {
-		if c.ctrl == nil {
-			c.dispatch(sub, nil)
-			continue
-		}
-		_, evicted, out := c.ctrl.Offer(admit.Request{
-			Tenant:   sub.opts.Tenant,
-			Priority: sub.priority,
-			Estimate: c.estimate(sub),
-			SLO:      sub.opts.SLO,
-			Arrival:  c.eng.Now(),
-			Payload:  sub,
-		}, c.minLoad())
-		if out != admit.Admitted {
-			c.reject(sub, out.String())
-			continue
-		}
-		if evicted != nil {
-			c.reject(evicted.Request().Payload.(*submission), admit.Shed.String())
-		}
+	sort.Slice(batch, func(i, j int) bool { return batch[i].Idx < batch[j].Idx })
+	for _, j := range batch {
+		sub := j.Work
+		c.Offer(j, sub.g, sub.batch, admit.Request{Tenant: sub.opts.Tenant, Priority: sub.priority, SLO: sub.opts.SLO})
 	}
-	if c.ctrl != nil {
-		c.pump()
-	}
+	c.Pump()
 }
 
-// pump dispatches every ticket the controller clears for boards.
-func (c *Cluster) pump() {
-	for _, t := range c.ctrl.Dispatchable() {
-		c.dispatch(t.Request().Payload.(*submission), t)
+// dispatch places one admitted submission: on two boards when it is
+// SLO-critical and hedging is configured, otherwise through the core.
+func (c *Cluster) dispatch(j *job, t *admit.Ticket) {
+	if h := c.cfg.Health; h != nil && h.HedgePriority > 0 && j.Work.priority >= h.HedgePriority && c.hedge(j, t) {
+		return
 	}
+	c.Place(j, t)
 }
 
-// dispatch places one admitted submission on a board. Submit failures at
-// dispatch time are recorded and surfaced from Run — never a panic: a
-// malformed submission must not take down the whole cluster run.
-func (c *Cluster) dispatch(sub *submission, t *admit.Ticket) {
-	if c.mon != nil && c.hopt.HedgePriority > 0 && sub.priority >= c.hopt.HedgePriority {
-		if c.hedgeDispatch(sub, t) {
-			return
-		}
-	}
+// land picks a board by the dispatch policy and submits j there.
+func (c *Cluster) land(j *job) (int, int64, error) {
 	b := c.pick()
 	if b < 0 {
-		// No placeable board right now: park until one recovers.
-		c.park(parkedWork{sub: sub, ticket: t})
-		return
+		return -1, 0, nil
 	}
-	id, err := c.submitTo(b, sub)
-	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("cluster: submission %d (%s) on board %d: %w", sub.idx, sub.g.Name(), b, err))
-		if c.ctrl != nil {
-			c.ctrl.Release(t) // free the admission slot the failed dispatch held
-		}
-		return
-	}
-	c.placed[sub.idx] = b
-	c.idxOf[b][id] = sub.idx
-	if t != nil {
-		c.tickets[b][id] = t
-	}
-	if c.mon != nil {
-		c.lastOn[sub.idx] = b
-		c.mon.Kick()
-	}
+	id, err := c.submitTo(b, j)
+	return b, id, err
 }
 
 // submitTo lands one submission on board b, carrying the tenant
 // identity and fair-share weight through to the board's scheduler when
 // the submission has them (anonymous submissions keep the cheaper
 // untagged path).
-func (c *Cluster) submitTo(b int, sub *submission) (int64, error) {
+func (c *Cluster) submitTo(b int, j *job) (id int64, err error) {
+	sub := j.Work
 	if sub.opts.Tenant != "" {
-		return c.boards[b].SubmitTenant(sub.g, sub.batch, sub.priority, c.eng.Now(), sub.opts.Tenant, sub.opts.Weight)
+		id, err = c.Board(b).SubmitTenant(sub.g, sub.batch, sub.priority, c.eng.Now(), sub.opts.Tenant, sub.opts.Weight)
+	} else {
+		id, err = c.Board(b).SubmitID(sub.g, sub.batch, sub.priority, c.eng.Now())
 	}
-	return c.boards[b].SubmitID(sub.g, sub.batch, sub.priority, c.eng.Now())
+	if err != nil {
+		return 0, fmt.Errorf("cluster: submission %d (%s) on board %d: %w", j.Idx, sub.g.Name(), b, err)
+	}
+	return id, nil
 }
 
-// Energy sums the per-board energy reports; each board integrates its
-// own power model, so heterogeneous fleets aggregate correctly.
-func (c *Cluster) Energy() hv.EnergyStats {
-	var total hv.EnergyStats
-	for _, b := range c.boards {
-		es := b.Energy()
-		total.StaticJoules += es.StaticJoules
-		total.ActiveJoules += es.ActiveJoules
-		total.OccupiedSlotSeconds += es.OccupiedSlotSeconds
-		total.UsableSlotSeconds += es.UsableSlotSeconds
-	}
-	return total
-}
-
-// TenantServices merges delivered per-tenant fabric time across the
-// fleet (board-local latency scales already folded in by each board's
-// accounting).
-func (c *Cluster) TenantServices() map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	for _, b := range c.boards {
-		for tenant, d := range b.TenantServices() {
-			out[tenant] += d
-		}
-	}
-	return out
-}
-
-// reject records an admission rejection for reporting from Run.
-func (c *Cluster) reject(sub *submission, reason string) {
-	c.rejected[sub.idx] = sub
-	c.reasons[sub.idx] = reason
-}
-
-// onRetire releases the retiring application's admission slot and, on
-// the next event tick (outside the hypervisor's retire processing),
-// dispatches any queued work the freed slot clears.
-func (c *Cluster) onRetire(board int, id int64) {
-	if c.mon != nil {
-		c.retired(board, id)
-	}
-	t, ok := c.tickets[board][id]
-	if !ok {
-		return
-	}
-	delete(c.tickets[board], id)
-	c.ctrl.Release(t)
-	if c.ctrl.QueueDepth() > 0 {
-		c.eng.After(0, c.pump)
-	}
-}
-
-// estimate is the admission-time work estimate for a submission: its
-// single-slot latency on the cluster's fastest-case board. Optimistic
-// across heterogeneous boards, so the deadline test never rejects work a
-// big board could have finished in time.
-func (c *Cluster) estimate(sub *submission) sim.Duration {
-	best := hv.SingleSlotLatencyFor(c.boardConfig(0).Board, sub.g, sub.batch)
-	for i := 1; i < len(c.boards); i++ {
-		if e := hv.SingleSlotLatencyFor(c.boardConfig(i).Board, sub.g, sub.batch); e < best {
-			best = e
-		}
-	}
-	return best
-}
-
-// boardConfig resolves the effective hv.Config of board i.
-func (c *Cluster) boardConfig(i int) hv.Config {
-	if c.cfg.BoardConfigs != nil {
-		return c.cfg.BoardConfigs[i]
-	}
-	return c.cfg.HV
-}
-
-// minLoad is the least-loaded board's outstanding estimate — the
-// admission controller's optimistic view of how soon new work could
-// start.
-func (c *Cluster) minLoad() sim.Duration {
-	boards := []int(nil)
-	if c.mon != nil {
-		boards = c.placeable()
-	}
-	if boards == nil {
-		best := c.boards[0].OutstandingEstimate()
-		for i := 1; i < len(c.boards); i++ {
-			if l := c.boards[i].OutstandingEstimate(); l < best {
-				best = l
-			}
-		}
-		return best
-	}
-	if len(boards) == 0 {
-		// Nothing placeable: admission sees an effectively infinite queue.
-		return c.cfg.HV.Horizon.Sub(0)
-	}
-	best := c.boards[boards[0]].OutstandingEstimate()
-	for _, b := range boards[1:] {
-		if l := c.boards[b].OutstandingEstimate(); l < best {
-			best = l
-		}
-	}
-	return best
-}
-
-// pick applies the dispatch policy. Load ties break toward the lowest
-// board index (strict "<" keeps the earliest minimum), so placement is
-// deterministic and independent of event ordering. With the failure
-// domain layer armed, only placeable boards (best health score first)
-// are considered; -1 means nothing can take work right now.
+// pick applies the dispatch policy to the placeable boards; -1 means
+// nothing can take work right now.
 func (c *Cluster) pick() int {
-	if c.mon == nil {
-		return c.pickAmong(nil)
-	}
-	cands := c.placeable()
+	cands := c.Placeable()
 	if len(cands) == 0 {
 		return -1
 	}
 	return c.pickAmong(cands)
 }
 
+// pickAmong applies the dispatch policy over a non-empty candidate set
+// in index order. Load and pending ties break toward the lowest board
+// index — strict "<" keeps the earliest minimum — so placement is
+// deterministic regardless of event ordering or which boards happen to
+// be healthy.
+func (c *Cluster) pickAmong(cands []int) int {
+	best := -1
+	switch c.cfg.Dispatch {
+	case LeastLoaded:
+		var bestLoad sim.Duration
+		for _, i := range cands {
+			if l := c.Board(i).OutstandingEstimate(); best < 0 || l < bestLoad {
+				best, bestLoad = i, l
+			}
+		}
+	case LeastPending:
+		bestN := 0
+		for _, i := range cands {
+			if p := c.Board(i).PendingCount(); best < 0 || p < bestN {
+				best, bestN = i, p
+			}
+		}
+	case HeteroAware:
+		bestScore := 0.0
+		for _, i := range cands {
+			if s := dispatch.Score(c.Board(i).Board(), c.Board(i).OutstandingEstimate().Seconds()); best < 0 || s < bestScore {
+				best, bestScore = i, s
+			}
+		}
+	case RandomBoard:
+		best = cands[c.rng.Intn(len(cands))]
+	default: // RoundRobin: advance the cursor to the next candidate board.
+		n := c.Boards()
+		for k := 0; k < n; k++ {
+			if b := (c.next + k) % n; slices.Contains(cands, b) {
+				c.next = (b + 1) % n
+				return b
+			}
+		}
+	}
+	return best
+}
+
 // Run drives the shared engine until every application on every board
 // retires, and returns one Result per submission in global submission
 // order: board-annotated outcomes for dispatched work, Rejected entries
-// for what admission turned away. Dispatch-time submit failures
-// accumulated during the run are returned joined.
+// for what admission turned away, Failed entries for work board deaths
+// lost. Dispatch-time submit failures accumulated during the run are
+// returned joined.
 func (c *Cluster) Run() ([]Result, error) {
-	// Drain rather than run to the horizon: DrainUntil leaves the clock
-	// at the last fired event (the fleet's makespan), so Energy sampled
-	// after Run prices static power over time actually spanned by work,
-	// not over the idle tail out to the horizon.
-	c.eng.DrainUntil(c.cfg.HV.Horizon)
-	if c.mon != nil {
-		c.strand()
-	}
-	if err := errors.Join(c.errs...); err != nil {
+	outs, err := c.Core.Run()
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, c.expected)
-	filled := 0
-	for i, b := range c.boards {
-		results, err := b.Collect()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: board %d: %w", i, err)
+	res := make([]Result, len(outs))
+	for _, o := range outs {
+		sub := o.Job.Work
+		r := Result{Board: o.Board}
+		switch o.Kind {
+		case dispatch.Done:
+			r.Result = o.Result
+			r = c.annotate(o.Job, r)
+		case dispatch.Rejected:
+			r.Result = dispatch.Terminal(sub.g.Name(), sub.batch, sub.priority, sub.arrival)
+			r.Rejected, r.RejectReason = true, o.Reason
+		case dispatch.Failed:
+			r.Result = dispatch.Terminal(sub.g.Name(), sub.batch, sub.priority, sub.arrival)
+			r.Failed, r.FailReason, r.Attempts = true, o.Reason, o.Job.Retries
 		}
-		for _, r := range results {
-			idx, ok := c.idxOf[i][r.AppID]
-			if !ok {
-				return nil, fmt.Errorf("cluster: board %d reported unknown app %d", i, r.AppID)
-			}
-			out[idx] = c.annotate(idx, Result{Result: r, Board: i})
-			filled++
+		res[o.Job.Idx] = r
+	}
+	return res, nil
+}
+
+// annotate overlays re-dispatch accounting on a completed result: the
+// response clock starts at the original arrival, not the re-dispatch,
+// so failover latency shows up in the metrics it actually cost.
+func (c *Cluster) annotate(j *job, r Result) Result {
+	if c.Monitor() == nil {
+		return r
+	}
+	r.Attempts = j.Retries + 1
+	if j.Retries > 0 {
+		arrival := j.Work.arrival
+		r.Arrival = arrival
+		if r.FirstLaunch >= 0 {
+			r.Wait = r.FirstLaunch.Sub(arrival)
 		}
+		r.Response = r.Retire.Sub(arrival)
 	}
-	// Results harvested off boards that died mid-run, then work lost to
-	// those deaths permanently — distinct terminal outcomes, one result
-	// each, so the conservation check below still balances.
-	for idx, r := range c.done {
-		out[idx] = c.annotate(idx, r)
-		filled++
-	}
-	for idx, reason := range c.failed {
-		sub := c.subs[idx]
-		board := -1
-		if b, ok := c.lastOn[idx]; ok {
-			board = b
-		}
-		out[idx] = Result{
-			Result: hv.Result{
-				AppID:       -1,
-				App:         sub.g.Name(),
-				Batch:       sub.batch,
-				Priority:    sub.priority,
-				Arrival:     sub.arrival,
-				FirstLaunch: -1,
-			},
-			Board:      board,
-			Failed:     true,
-			FailReason: reason,
-			Attempts:   c.retries[idx],
-		}
-		filled++
-	}
-	for idx, sub := range c.rejected {
-		out[idx] = Result{
-			Result: hv.Result{
-				AppID:       -1,
-				App:         sub.g.Name(),
-				Batch:       sub.batch,
-				Priority:    sub.priority,
-				Arrival:     sub.arrival,
-				FirstLaunch: -1,
-			},
-			Board:        -1,
-			Rejected:     true,
-			RejectReason: c.reasons[idx],
-		}
-		filled++
-	}
-	if c.ctrl != nil && c.ctrl.QueueDepth() > 0 {
-		return nil, fmt.Errorf("cluster: %d admitted submissions still queued at horizon", c.ctrl.QueueDepth())
-	}
-	if filled != c.expected {
-		return nil, fmt.Errorf("cluster: %d results for %d submissions", filled, c.expected)
-	}
-	return out, nil
+	return r
 }

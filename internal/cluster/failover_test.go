@@ -405,7 +405,7 @@ func TestPickTieBreaksDeterministically(t *testing.T) {
 				t.Fatalf("%s picked board %d with health armed, want 0", d, b)
 			}
 			// A degraded board 0 loses the tie to the first clean board.
-			ch.mon.Tracker(0).MarkDegraded()
+			ch.Monitor().Tracker(0).MarkDegraded()
 			if b := ch.pick(); b != 1 {
 				t.Fatalf("%s picked board %d with board 0 degraded, want 1", d, b)
 			}

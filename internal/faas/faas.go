@@ -17,12 +17,11 @@
 package faas
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"nimblock/internal/admit"
+	"nimblock/internal/dispatch"
 	"nimblock/internal/faults"
 	"nimblock/internal/health"
 	"nimblock/internal/hv"
@@ -129,106 +128,62 @@ type Stats struct {
 	Rejections  int
 }
 
-// invKey links a board-local application ID back to the invocation that
-// produced it.
-type invKey struct {
-	board   int
-	localID int64
-}
-
+// invocation is the platform-side record of one Invoke call.
 type invocation struct {
 	function string
 	invoked  sim.Time
 	items    int
-	cold     bool
-	board    int
-	// attempts counts successful placements; retries counts board
-	// deaths survived so far (failover bookkeeping).
-	attempts int
-	retries  int
+	cold     bool // whether the latest placement paid a cold start
 }
 
-// Platform is the serverless front-end.
+// job is one invocation as the orchestration core tracks it.
+type job = dispatch.Job[*invocation]
+
+// Platform is the serverless front-end. The embedded core owns boards,
+// admission and failover; the platform adds warm affinity, cold starts
+// and the bitstream deployments a board death wipes.
 type Platform struct {
+	*dispatch.Core[*invocation]
 	eng         *sim.Engine
 	cfg         Config
-	boards      []hv.Instance
 	deployed    []map[string]bool
 	outstanding []int // per-board dispatched-not-retired invocations
 	funcs       map[string]Function
-	inv         map[invKey]*invocation
-	tickets     map[invKey]*admit.Ticket
-	ctrl        *admit.Controller
-	rejects     []Result
-	errs        []error
 	stats       Stats
-	expected    int
-
-	// Failure-domain state (nil/empty when Config.Health is off; see
-	// failover.go).
-	mkPolicy func() sched.Scheduler // retained to rebuild dead boards
-	mon      *health.Monitor
-	hopt     health.Options
-	parked   []parkedInv
-	done     []Result // results settled before Run (harvested or failed)
 }
 
 // New builds a platform; mkPolicy supplies one scheduler per board.
 func New(eng *sim.Engine, cfg Config, mkPolicy func() sched.Scheduler) (*Platform, error) {
-	if cfg.Boards < 1 {
-		return nil, fmt.Errorf("faas: need at least one board")
-	}
 	if cfg.ColdStart < 0 {
 		return nil, fmt.Errorf("faas: negative cold start")
 	}
 	if mkPolicy == nil {
 		return nil, fmt.Errorf("faas: nil policy factory")
 	}
-	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
-		return nil, fmt.Errorf("faas: %d board configs for %d boards", len(cfg.BoardConfigs), cfg.Boards)
-	}
-	p := &Platform{
-		eng:      eng,
-		cfg:      cfg,
-		funcs:    map[string]Function{},
-		inv:      map[invKey]*invocation{},
-		tickets:  map[invKey]*admit.Ticket{},
-		mkPolicy: mkPolicy,
-	}
-	if cfg.Admission != nil {
-		ctrl, err := admit.New(*cfg.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("faas: %w", err)
-		}
-		p.ctrl = ctrl
-	}
-	for i := 0; i < cfg.Boards; i++ {
-		h, err := p.newBoard(i)
-		if err != nil {
-			return nil, err
-		}
-		p.boards = append(p.boards, h)
-		p.deployed = append(p.deployed, map[string]bool{})
-		p.outstanding = append(p.outstanding, 0)
-	}
-	if err := p.initHealth(); err != nil {
+	p := &Platform{eng: eng, cfg: cfg, funcs: map[string]Function{}}
+	core, err := dispatch.New(eng, dispatch.Config{
+		Name:         "faas",
+		Boards:       cfg.Boards,
+		HV:           cfg.HV,
+		BoardConfigs: cfg.BoardConfigs,
+		Admission:    cfg.Admission,
+		Health:       cfg.Health,
+		BoardFaults:  cfg.BoardFaults,
+	}, func(hv.Config) sched.Scheduler { return mkPolicy() }, dispatch.Hooks[*invocation]{
+		Land:    p.land,
+		Retired: p.retired,
+		Rebuilt: p.rebuilt,
+	})
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// newBoard builds (or rebuilds, after a recovery) board i's hypervisor
-// with the platform's retire hook chained onto any user-provided one.
-func (p *Platform) newBoard(i int) (hv.Instance, error) {
-	bcfg := p.boardConfig(i)
-	board, user := i, bcfg.OnRetire
-	bcfg.OnRetire = func(id int64) {
-		if user != nil {
-			user(id)
-		}
-		p.onRetire(board, id)
+	p.Core = core
+	p.deployed = make([]map[string]bool, cfg.Boards)
+	p.outstanding = make([]int, cfg.Boards)
+	for i := range p.deployed {
+		p.deployed[i] = map[string]bool{}
 	}
-	return hv.New(p.eng, bcfg, p.mkPolicy())
+	return p, nil
 }
 
 // Register adds a function to the registry. Functions must be registered
@@ -257,90 +212,28 @@ func (p *Platform) Invoke(function string, items int, at sim.Time) error {
 	if items < 1 {
 		return fmt.Errorf("faas: invocation of %q with %d items", function, items)
 	}
-	p.expected++
-	p.eng.At(at, func() { p.arrive(function, items, at) })
+	j := p.NewJob(&invocation{function: function, invoked: at, items: items})
+	p.eng.At(at, func() { p.arrive(j) })
 	return nil
 }
 
 // arrive runs the admission decision (if configured) at the invocation
 // instant and dispatches or records the outcome.
-func (p *Platform) arrive(function string, items int, invoked sim.Time) {
-	in := &invocation{function: function, invoked: invoked, items: items}
-	if p.ctrl == nil {
-		p.dispatch(in, nil)
-		return
-	}
-	fn := p.funcs[function]
-	_, evicted, out := p.ctrl.Offer(admit.Request{
-		Tenant:   fn.Tenant,
-		Priority: fn.Priority,
-		Estimate: p.estimate(fn.Graph, items),
-		SLO:      fn.SLO,
-		Arrival:  p.eng.Now(),
-		Payload:  in,
-	}, p.minLoad())
-	if out != admit.Admitted {
-		p.reject(in, out.String())
-		return
-	}
-	if evicted != nil {
-		p.reject(evicted.Request().Payload.(*invocation), admit.Shed.String())
-	}
-	p.pump()
+func (p *Platform) arrive(j *job) {
+	fn := p.funcs[j.Work.function]
+	p.Offer(j, fn.Graph, j.Work.items, admit.Request{Tenant: fn.Tenant, Priority: fn.Priority, SLO: fn.SLO})
+	p.Pump()
 }
 
-// estimate is the admission-time work estimate: single-slot latency on
-// the platform's fastest-case board, optimistic across heterogeneous
-// fleets so the deadline test never rejects work a fast board could
-// have finished in time.
-func (p *Platform) estimate(g *taskgraph.Graph, items int) sim.Duration {
-	best := hv.SingleSlotLatencyFor(p.boardConfig(0).Board, g, items)
-	for i := 1; i < len(p.boards); i++ {
-		if e := hv.SingleSlotLatencyFor(p.boardConfig(i).Board, g, items); e < best {
-			best = e
-		}
-	}
-	return best
-}
-
-// pump dispatches every invocation the controller clears.
-func (p *Platform) pump() {
-	for _, t := range p.ctrl.Dispatchable() {
-		p.dispatch(t.Request().Payload.(*invocation), t)
-	}
-}
-
-// reject records an admission rejection for reporting from Run.
-func (p *Platform) reject(in *invocation, reason string) {
-	p.stats.Rejections++
-	p.rejects = append(p.rejects, Result{
-		Function:     in.function,
-		Board:        -1,
-		InvokedAt:    in.invoked,
-		Items:        in.items,
-		Rejected:     true,
-		RejectReason: reason,
-	})
-}
-
-// dispatch places an invocation now. Submit failures are recorded and
-// surfaced from Run, never panicked: one bad invocation must not take
-// down the platform.
-func (p *Platform) dispatch(in *invocation, t *admit.Ticket) {
-	p.place(parkedInv{in: in, ticket: t})
-}
-
-// place lands one invocation (fresh, parked, or evacuated) on a board,
-// seeding any surviving checkpoints so migrated items resume instead of
-// re-executing. With no placeable board it parks the invocation until
-// one recovers.
-func (p *Platform) place(pk parkedInv) {
-	in := pk.in
+// land places one invocation (fresh, parked, or evacuated) with warm
+// affinity, delaying its arrival on the board by the cold start when
+// the board has never run the function.
+func (p *Platform) land(j *job) (int, int64, error) {
+	in := j.Work
 	fn := p.funcs[in.function]
 	board, cold := p.pick(in.function)
 	if board < 0 {
-		p.parked = append(p.parked, pk)
-		return
+		return -1, 0, nil
 	}
 	arrival := p.eng.Now()
 	if cold {
@@ -349,16 +242,12 @@ func (p *Platform) place(pk parkedInv) {
 	var id int64
 	var err error
 	if fn.Tenant != "" {
-		id, err = p.boards[board].SubmitTenant(fn.Graph, in.items, fn.Priority, arrival, fn.Tenant, fn.Weight)
+		id, err = p.Board(board).SubmitTenant(fn.Graph, in.items, fn.Priority, arrival, fn.Tenant, fn.Weight)
 	} else {
-		id, err = p.boards[board].SubmitID(fn.Graph, in.items, fn.Priority, arrival)
+		id, err = p.Board(board).SubmitID(fn.Graph, in.items, fn.Priority, arrival)
 	}
 	if err != nil {
-		p.errs = append(p.errs, fmt.Errorf("faas: invocation of %q: %w", in.function, err))
-		if p.ctrl != nil {
-			p.ctrl.Release(pk.ticket) // free the admission slot the failed dispatch held
-		}
-		return
+		return board, 0, fmt.Errorf("faas: invocation of %q: %w", in.function, err)
 	}
 	if cold {
 		p.deployed[board][in.function] = true
@@ -366,49 +255,34 @@ func (p *Platform) place(pk parkedInv) {
 	} else {
 		p.stats.WarmStarts++
 	}
-	if in.attempts == 0 {
+	if j.Retries == 0 {
 		p.stats.Invocations++
 	}
-	in.attempts++
 	p.outstanding[board]++
-	in.cold, in.board = cold, board
-	key := invKey{board, id}
-	p.inv[key] = in
-	if pk.ticket != nil {
-		p.tickets[key] = pk.ticket
-	}
-	p.settleMigration(board, id, pk)
+	in.cold = cold
+	return board, id, nil
 }
 
-// onRetire keeps the per-board outstanding count honest and releases the
-// retiring invocation's admission slot; promotion of queued work happens
-// on the next event tick, outside the hypervisor's retire processing.
-func (p *Platform) onRetire(board int, id int64) {
-	key := invKey{board, id}
-	if _, ok := p.inv[key]; !ok {
-		return
+// retired keeps the per-board outstanding count honest.
+func (p *Platform) retired(board int, _ int64, j *job) {
+	if j != nil {
+		p.outstanding[board]--
 	}
-	p.outstanding[board]--
-	if p.mon != nil {
-		p.mon.Tracker(board).ReportSuccess()
-		if len(p.parked) > 0 {
-			p.eng.After(0, p.unpark)
-		}
-	}
-	if t, ok := p.tickets[key]; ok {
-		delete(p.tickets, key)
-		p.ctrl.Release(t)
-		if p.ctrl.QueueDepth() > 0 {
-			p.eng.After(0, p.pump)
-		}
-	}
+}
+
+// rebuilt forgets a dead board's state: its bitstream deployments die
+// with it, so the next invocation there pays a fresh cold start.
+func (p *Platform) rebuilt(board int) {
+	p.deployed[board] = map[string]bool{}
+	p.outstanding[board] = 0
 }
 
 // pick chooses a board with warm affinity: the least-busy board that
 // already holds the function's bitstreams, unless every warm board is at
 // or over the scale-up threshold and a cold board is strictly less
-// loaded, in which case the cold start is worth paying. Load ties break
-// toward the lowest board index (strict "<"), so placement is
+// loaded, in which case the cold start is worth paying. Only placeable
+// boards are considered (see dispatch.Core.Placeable), and load ties
+// break toward the lowest board index (strict "<"), so placement is
 // deterministic. Boundary behavior, pinned by tests:
 //
 //   - no warm board: cheapest cold board, cold start;
@@ -417,15 +291,16 @@ func (p *Platform) onRetire(board int, id int64) {
 //   - ScaleUp <= 0: eager scaling — any warm backlog justifies a
 //     strictly less-loaded cold board (an idle warm board still wins);
 //   - single board: always that board, cold exactly once per function.
+//
+// Load is the board's outstanding invocation count, scored through
+// dispatch.Score so a slow or narrow board looks busier than a fast
+// wide board at the same queue depth.
 func (p *Platform) pick(function string) (board int, cold bool) {
 	warmBest, coldBest := -1, -1
 	var warmScore, coldScore float64
 	warmLoad := 0
-	for i := range p.boards {
-		if p.mon != nil && !p.mon.Tracker(i).Placeable(p.eng.Now()) {
-			continue
-		}
-		score := p.score(i)
+	for _, i := range p.Placeable() {
+		score := dispatch.Score(p.Board(i).Board(), float64(p.outstanding[i]))
 		if p.deployed[i][function] {
 			if warmBest == -1 || score < warmScore {
 				warmBest, warmScore = i, score
@@ -451,134 +326,40 @@ func (p *Platform) pick(function string) (board int, cold bool) {
 	return warmBest, false
 }
 
-// score ranks a board for placement: the outstanding invocation count,
-// stretched by the board's latency scale and divided by its usable slot
-// count, so a slow or narrow board looks busier than a fast wide board
-// at the same queue depth. On a homogeneous platform every factor
-// cancels and the score orders exactly like the raw count did, ties
-// still breaking toward the lowest board index through strict "<".
-func (p *Platform) score(i int) float64 {
-	usable := p.boards[i].Board().UsableSlots()
-	if usable == 0 {
-		return math.Inf(1)
-	}
-	return float64(1+p.outstanding[i]) * p.boards[i].Board().LatencyScale() / float64(usable)
-}
-
-// boardConfig resolves the effective hv.Config of board i.
-func (p *Platform) boardConfig(i int) hv.Config {
-	if p.cfg.BoardConfigs != nil {
-		return p.cfg.BoardConfigs[i]
-	}
-	return p.cfg.HV
-}
-
-// Energy sums the per-board energy reports.
-func (p *Platform) Energy() hv.EnergyStats {
-	var total hv.EnergyStats
-	for _, b := range p.boards {
-		es := b.Energy()
-		total.StaticJoules += es.StaticJoules
-		total.ActiveJoules += es.ActiveJoules
-		total.OccupiedSlotSeconds += es.OccupiedSlotSeconds
-		total.UsableSlotSeconds += es.UsableSlotSeconds
-	}
-	return total
-}
-
-// TenantServices merges delivered per-tenant fabric time across boards.
-func (p *Platform) TenantServices() map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	for _, b := range p.boards {
-		for tenant, d := range b.TenantServices() {
-			out[tenant] += d
-		}
-	}
-	return out
-}
-
-// minLoad is the least-loaded board's outstanding work estimate, the
-// admission controller's view of how soon a new invocation could start.
-func (p *Platform) minLoad() sim.Duration {
-	best, any := sim.Duration(0), false
-	for i := range p.boards {
-		if p.mon != nil && !p.mon.Tracker(i).Placeable(p.eng.Now()) {
-			continue
-		}
-		if l := p.boards[i].OutstandingEstimate(); !any || l < best {
-			best, any = l, true
-		}
-	}
-	if !any {
-		// Nothing placeable: admission sees an effectively infinite queue.
-		return p.cfg.HV.Horizon.Sub(0)
-	}
-	return best
-}
-
 // Stats returns platform counters.
-func (p *Platform) Stats() Stats { return p.stats }
-
-// AdmissionStats reports the admission controller's counters; the zero
-// Stats when admission is disabled.
-func (p *Platform) AdmissionStats() admit.Stats {
-	if p.ctrl == nil {
-		return admit.Stats{}
-	}
-	return p.ctrl.Stats()
+func (p *Platform) Stats() Stats {
+	st := p.stats
+	st.Rejections = p.Rejections()
+	return st
 }
-
-// Boards reports the cluster size.
-func (p *Platform) Boards() int { return len(p.boards) }
 
 // Outstanding reports dispatched-not-retired invocations on one board
 // (for tests and reports).
 func (p *Platform) Outstanding(board int) int { return p.outstanding[board] }
 
 // Run drives the simulation until every accepted invocation completes
-// and returns per-invocation results — completed and rejected — ordered
-// by invocation time (ties by board, rejections first). Dispatch-time
-// submit failures accumulated during the run are returned joined.
+// and returns per-invocation results — completed, rejected and failed —
+// ordered by invocation time (ties by board, rejections first).
+// Dispatch-time submit failures accumulated during the run are returned
+// joined.
 func (p *Platform) Run() ([]Result, error) {
-	// Drain rather than run to the horizon: DrainUntil leaves the clock
-	// at the last fired event (the platform's makespan), so Energy
-	// sampled after Run prices static power over time actually spanned
-	// by work, not over the idle tail out to the horizon.
-	p.eng.DrainUntil(p.cfg.HV.Horizon)
-	if p.mon != nil {
-		p.strand()
-	}
-	if err := errors.Join(p.errs...); err != nil {
+	outs, err := p.Core.Run()
+	if err != nil {
 		return nil, err
 	}
-	out := append([]Result(nil), p.rejects...)
-	out = append(out, p.done...)
-	for bi, b := range p.boards {
-		results, err := b.Collect()
-		if err != nil {
-			return nil, fmt.Errorf("faas: board %d: %w", bi, err)
+	out := make([]Result, len(outs))
+	for i, o := range outs {
+		in := o.Job.Work
+		r := Result{Function: in.function, Board: o.Board, InvokedAt: in.invoked, Items: in.items}
+		switch o.Kind {
+		case dispatch.Done:
+			r.Cold, r.Latency, r.Attempts = in.cold, o.Result.Retire.Sub(in.invoked), o.Job.Retries+1
+		case dispatch.Rejected:
+			r.Rejected, r.RejectReason = true, o.Reason
+		case dispatch.Failed:
+			r.Failed, r.FailReason, r.Attempts = true, o.Reason, o.Job.Retries
 		}
-		for _, r := range results {
-			info, ok := p.inv[invKey{bi, r.AppID}]
-			if !ok {
-				return nil, fmt.Errorf("faas: board %d app %d has no invocation record", bi, r.AppID)
-			}
-			out = append(out, Result{
-				Function:  info.function,
-				Board:     bi,
-				Cold:      info.cold,
-				InvokedAt: info.invoked,
-				Latency:   r.Retire.Sub(info.invoked),
-				Items:     info.items,
-				Attempts:  info.attempts,
-			})
-		}
-	}
-	if p.ctrl != nil && p.ctrl.QueueDepth() > 0 {
-		return nil, fmt.Errorf("faas: %d admitted invocations still queued at horizon", p.ctrl.QueueDepth())
-	}
-	if len(out) != p.expected {
-		return nil, fmt.Errorf("faas: %d results for %d invocations", len(out), p.expected)
+		out[i] = r
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].InvokedAt != out[j].InvokedAt {

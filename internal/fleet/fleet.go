@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/dispatch"
 	"nimblock/internal/hv"
 	"nimblock/internal/obs"
 	"nimblock/internal/sched"
@@ -104,7 +105,7 @@ type shard struct {
 // Fleet is the two-level scheduler.
 type Fleet struct {
 	cfg    Config
-	mk     func(hv.Config) sched.Scheduler
+	cfgs   []hv.Config // per global board index
 	shards []*shard
 	// Global-board lookup tables and placement state.
 	shardOf []int
@@ -145,15 +146,16 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 	if mkPolicy == nil {
 		return nil, fmt.Errorf("fleet: nil policy factory")
 	}
-	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
-		return nil, fmt.Errorf("fleet: %d board configs for %d boards", len(cfg.BoardConfigs), cfg.Boards)
+	cfgs, err := dispatch.BoardConfigs(cfg.HV, cfg.BoardConfigs, cfg.Boards)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 100 * sim.Millisecond
 	}
 	f := &Fleet{
 		cfg:      cfg,
-		mk:       mkPolicy,
+		cfgs:     cfgs,
 		shardOf:  make([]int, cfg.Boards),
 		localOf:  make([]int, cfg.Boards),
 		down:     make([]bool, cfg.Boards),
@@ -174,7 +176,7 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 		}
 		sh := &shard{eng: sim.NewEngine()}
 		for k := 0; k < n; k++ {
-			bcfg := f.boardConfig(g)
+			bcfg := cfgs[g]
 			b, err := hv.New(sh.eng, bcfg, mkPolicy(bcfg))
 			if err != nil {
 				return nil, fmt.Errorf("fleet: board %d: %w", g, err)
@@ -190,14 +192,6 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 	}
 	f.initInstruments()
 	return f, nil
-}
-
-// boardConfig resolves the effective hv.Config of global board g.
-func (f *Fleet) boardConfig(g int) hv.Config {
-	if f.cfg.BoardConfigs != nil {
-		return f.cfg.BoardConfigs[g]
-	}
-	return f.cfg.HV
 }
 
 // Shards reports the shard count; Boards the global board count.
@@ -241,27 +235,21 @@ func (f *Fleet) estimate(g int, app string, graph *taskgraph.Graph, batch int) s
 	if d, ok := f.estMemo[key]; ok {
 		return d
 	}
-	d := hv.SingleSlotLatencyFor(f.boardConfig(g).Board, graph, batch)
+	d := hv.SingleSlotLatencyFor(f.cfgs[g].Board, graph, batch)
 	f.estMemo[key] = d
 	return d
 }
 
-// score ranks global board g for the next placement: estimated
-// outstanding seconds (barrier snapshot plus work routed this epoch)
-// stretched by the board's latency scale, divided by its usable slot
-// count — the cluster's hetero-aware score lifted fleet-wide. Down
-// boards rank +Inf; ties break toward the lowest global index.
+// score ranks global board g for the next placement: dispatch.Score
+// over its estimated outstanding seconds (barrier snapshot plus work
+// routed this epoch) — the cluster's hetero-aware score lifted
+// fleet-wide. Down boards rank +Inf; ties break toward the lowest
+// global index.
 func (f *Fleet) score(g int) float64 {
 	if f.down[g] {
 		return math.Inf(1)
 	}
-	b := f.Board(g).Board()
-	usable := b.UsableSlots()
-	if usable == 0 {
-		return math.Inf(1)
-	}
-	out := f.outSnap[g] + f.routed[g]
-	return (1 + out.Seconds()) * b.LatencyScale() / float64(usable)
+	return dispatch.Score(f.Board(g).Board(), (f.outSnap[g] + f.routed[g]).Seconds())
 }
 
 // pick selects the board for the next placement; -1 when nothing is
@@ -321,14 +309,7 @@ func (f *Fleet) reject(idx int, ev workload.Event, reason string) {
 		f.gauges.rejected.Inc()
 	}
 	f.rejected[idx] = Result{
-		Result: hv.Result{
-			AppID:       -1,
-			App:         ev.App,
-			Batch:       ev.Batch,
-			Priority:    ev.Priority,
-			Arrival:     ev.Arrival,
-			FirstLaunch: -1,
-		},
+		Result:       dispatch.Terminal(ev.App, ev.Batch, ev.Priority, ev.Arrival),
 		Shard:        -1,
 		Board:        -1,
 		Rejected:     true,

@@ -522,6 +522,14 @@ type EnergyStats struct {
 // TotalJoules is the run's total energy under the power model.
 func (e EnergyStats) TotalJoules() float64 { return e.StaticJoules + e.ActiveJoules }
 
+// Add accumulates another board's report into e, for fleet-wide sums.
+func (e *EnergyStats) Add(o EnergyStats) {
+	e.StaticJoules += o.StaticJoules
+	e.ActiveJoules += o.ActiveJoules
+	e.OccupiedSlotSeconds += o.OccupiedSlotSeconds
+	e.UsableSlotSeconds += o.UsableSlotSeconds
+}
+
 // Energy evaluates the board's power model at the current virtual time.
 // With no power configured (the default) every term is zero.
 func (h *Hypervisor) Energy() EnergyStats {
