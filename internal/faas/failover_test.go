@@ -257,3 +257,25 @@ func TestFaaSConservationUnderBoardFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestPickPrefersCleanBoard pins the shared health filter: a degraded
+// board receives work only when no clean board is placeable, whether
+// the function is cold everywhere or warm on the degraded board.
+func TestPickPrefersCleanBoard(t *testing.T) {
+	const fn = "f"
+	p := newFailoverPlatform(t, Config{Boards: 2, Health: &health.Options{}}, nil)
+	if err := p.Register(fn, Function{Graph: apps.MustGraph(apps.LeNet), Priority: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := p.pick(fn); b != 0 {
+		t.Fatalf("picked board %d on an idle platform, want 0", b)
+	}
+	p.Monitor().Tracker(0).MarkDegraded()
+	if b, cold := p.pick(fn); b != 1 || !cold {
+		t.Fatalf("pick = (%d, %v) with board 0 degraded, want (1, true)", b, cold)
+	}
+	p.deployed[0][fn] = true
+	if b, _ := p.pick(fn); b != 1 {
+		t.Fatalf("picked warm degraded board %d over a clean one, want 1", b)
+	}
+}
