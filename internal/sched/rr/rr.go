@@ -27,13 +27,13 @@ type entry struct {
 // Scheduler is the round-robin policy.
 type Scheduler struct {
 	queues [][]entry
-	issued map[int64]map[int]bool // app ID -> task -> queued at least once
+	queued map[int64]map[int]bool // app ID -> task -> waiting in a queue
 	seq    int64
 	free   []bool // scratch for dispatch's free-slot lookup
 }
 
 // New returns a round-robin scheduler.
-func New() *Scheduler { return &Scheduler{issued: map[int64]map[int]bool{}} }
+func New() *Scheduler { return &Scheduler{queued: map[int64]map[int]bool{}} }
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "RR" }
@@ -103,16 +103,18 @@ func (s *Scheduler) enqueue(w sched.World, e entry) bool {
 	return true
 }
 
-// issue sends newly ready tasks to the shortest slot queue, returning how
-// many tasks were enqueued.
+// issue sends ready tasks that no queue holds to the shortest slot
+// queue, returning how many tasks were enqueued. A task that a fault
+// handed back to the policy (a failed reconfiguration, a watchdog kill)
+// is configurable again and queued nowhere, so it is issued anew.
 func (s *Scheduler) issue(w sched.World) int {
 	n := 0
 	for _, a := range w.Apps() {
 		for _, t := range a.ConfigurableTasks() {
-			m := s.issued[a.ID]
+			m := s.queued[a.ID]
 			if m == nil {
 				m = map[int]bool{}
-				s.issued[a.ID] = m
+				s.queued[a.ID] = m
 			}
 			if m[t] {
 				continue
@@ -178,6 +180,7 @@ func (s *Scheduler) dispatch(w sched.World) int {
 			q := s.queues[slot]
 			copy(q, q[1:])
 			s.queues[slot] = q[:len(q)-1]
+			delete(s.queued[head.app.ID], head.task)
 			if head.app.Retired() || !head.app.Configurable(head.task) {
 				// Stale entry (task already finished or configured).
 				continue

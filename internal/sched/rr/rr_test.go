@@ -97,3 +97,24 @@ func TestTasksIssuedOnce(t *testing.T) {
 		t.Fatalf("reconfigs = %v; a queued task was re-issued", w.Reconfigs)
 	}
 }
+
+// A task whose reconfiguration faulted is handed back idle; it must be
+// issued again rather than stranded, or the application never finishes.
+func TestReissuesTaskAfterFailedReconfiguration(t *testing.T) {
+	s := New()
+	w := schedtest.NewWorld(1)
+	a := schedtest.NewApp(t, 1, apps.MustGraph(apps.LeNet), 2, 3, 0)
+	w.AppList = []*sched.App{a}
+	s.Schedule(w, sched.ReasonArrival)
+	if len(w.Reconfigs) != 1 {
+		t.Fatalf("reconfigs = %v, want one", w.Reconfigs)
+	}
+	if err := a.MarkConfigFailed(0); err != nil {
+		t.Fatal(err)
+	}
+	delete(w.Occupants, 0)
+	s.Schedule(w, sched.ReasonSlotFree)
+	if len(w.Reconfigs) != 2 || w.Reconfigs[1] != w.Reconfigs[0] {
+		t.Fatalf("reconfigs = %v, want the failed task configured again", w.Reconfigs)
+	}
+}
