@@ -1,14 +1,21 @@
 package hv_test
 
 import (
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
+	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/experiments"
+	"nimblock/internal/faults"
 	"nimblock/internal/hv"
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/fcfs"
 	"nimblock/internal/sim"
 	"nimblock/internal/taskgraph"
+	"nimblock/internal/workload"
 )
 
 // goldenGraph is a 2-task chain with 100 ms items.
@@ -134,4 +141,92 @@ func (r *roguePreempt) Schedule(w sched.World, why sched.Reason) {
 	}
 	r.fired = true
 	w.RequestPreempt(3) // nothing is configured there
+}
+
+// policyDigests pins the exact per-submission outcomes of policyRun for
+// every policy in the registry. The timeline tests above pin two
+// policies by hand; these pin all of them, so a refactor of any policy
+// that changes a single placement, allocation or preemption decision
+// shows up here.
+var policyDigests = map[string]string{
+	"Baseline":                "f1c8a92957db616e",
+	"FCFS":                    "92be461620b3f7db",
+	"PREMA":                   "4d4cc570fe545ceb",
+	"RR":                      "8c6ddfae536d218e",
+	"Nimblock":                "33837f496f73aeb5",
+	"NimblockNoPreempt":       "ff986cc0e6d04781",
+	"NimblockNoPipe":          "ee165747682ee033",
+	"NimblockNoPreemptNoPipe": "93ac31cce227a966",
+	"NimblockCheckpoint":      "2c8a7ccd1b837eb8",
+	"NimblockEnergy":          "37c7f52f9ff951b4",
+}
+
+// policyRun drives one fixed-seed board through every path the Nimblock
+// variants tell apart: two tenants with different weights on a board
+// with a power model (the energy policy's deficit order and goal cap),
+// checkpointing with priority-9 arrivals (SLO rescue), and one slot
+// quarantined mid-run (goal numbers recomputed at a smaller board). It
+// returns an FNV-64a digest over every result and the run's counters.
+func policyRun(t *testing.T, name string) (string, *hv.Hypervisor) {
+	t.Helper()
+	cfg := hv.DefaultConfig()
+	cfg.Board.StaticWattsPerSlot = 0.5
+	cfg.Board.ActiveWattsPerSlot = 2
+	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond}
+	cfg.Board.NewInjector = faults.MustParsePlan("seed 3\ncrc slot=9 prob=1\n").MustFactory()
+	cfg.QuarantineThreshold = 2
+	pol, err := experiments.NewPolicy(name, cfg.Board)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := hv.New(sim.NewEngine(), cfg, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range workload.Generate(workload.Spec{Scenario: workload.Stress, Events: 40}, 1) {
+		tenant, weight := "interactive", 2.0
+		if i%3 == 0 {
+			tenant, weight = "batch", 1
+		}
+		if _, err := h.SubmitTenant(apps.MustGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival, tenant, weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := h.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := fnv.New64a()
+	for i, r := range res {
+		fmt.Fprintf(d, "%d %+v\n", i, r)
+	}
+	fmt.Fprintf(d, "%+v\n%+v\n", h.Recovery(), h.Energy())
+	return fmt.Sprintf("%016x", d.Sum64()), h
+}
+
+// TestGoldenPolicyDigests fails when any policy's outcome changes. The
+// scenario must keep quarantining a slot and must keep every policy's
+// decisions distinct, or a digest could pin a path the run never takes.
+func TestGoldenPolicyDigests(t *testing.T) {
+	seen := map[string]string{}
+	names := make([]string, 0, len(policyDigests))
+	for name := range policyDigests {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			got, h := policyRun(t, name)
+			if q := h.Recovery().Quarantined; q != 1 {
+				t.Fatalf("%d slots quarantined, want 1", q)
+			}
+			if other, dup := seen[got]; dup {
+				t.Fatalf("same outcome as %s: the scenario no longer tells the policies apart", other)
+			}
+			seen[got] = name
+			if want := policyDigests[name]; got != want {
+				t.Fatalf("outcome digest %s, want %s", got, want)
+			}
+		})
+	}
 }
