@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/core"
 	"nimblock/internal/hv"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sim"
 
 	"nimblock/internal/sched"
@@ -23,7 +23,7 @@ func heteroCluster(t *testing.T, scales []float64, d Dispatch) (*sim.Engine, *Cl
 		cfgs[i] = c
 	}
 	cfg := Config{Boards: len(scales), HV: hv.DefaultConfig(), BoardConfigs: cfgs, Dispatch: d, Seed: 1}
-	cl, err := New(eng, cfg, func(b hv.Config) sched.Scheduler { return energy.New(b.Board) })
+	cl, err := New(eng, cfg, func(b hv.Config) sched.Scheduler { return core.NewEnergy(b.Board) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestClusterEnergyAggregates(t *testing.T) {
 		cfgs[i] = c
 	}
 	cfg := Config{Boards: 2, HV: hv.DefaultConfig(), BoardConfigs: cfgs, Dispatch: RoundRobin, Seed: 1}
-	cl, err := New(eng, cfg, func(b hv.Config) sched.Scheduler { return energy.New(b.Board) })
+	cl, err := New(eng, cfg, func(b hv.Config) sched.Scheduler { return core.NewEnergy(b.Board) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package core implements the Nimblock scheduling algorithm — the paper's
-// primary contribution (Section 4).
+// primary contribution (Section 4) — and its variants.
 //
 // At each scheduling opportunity the algorithm:
 //
@@ -19,8 +19,12 @@
 //     hypervisor honours the preemption at the next batch boundary so no
 //     user-logic state is ever checkpointed.
 //
-// Options switch off preemption and/or pipelining for the paper's
-// ablation study (Section 5.6).
+// A planner holds the state these steps share and exposes them one by
+// one. Each policy in the package is a composition of the steps:
+// Scheduler runs all four (Options switch off preemption and/or
+// pipelining for the paper's ablation study, Section 5.6), Energy drops
+// the leftover phase and orders candidates by tenant service deficit,
+// and Checkpoint wraps the full pass with mid-batch SLO rescue.
 package core
 
 import (
@@ -40,16 +44,22 @@ type Options struct {
 // DefaultOptions enables the full algorithm.
 func DefaultOptions() Options { return Options{Preemption: true, Pipelining: true} }
 
-// satKey caches saturation analyses per application shape and per board
-// size, so goal numbers recompute when faults shrink the usable board.
+// satKey caches saturation analyses per application graph, batch and
+// board size, so goal numbers recompute when faults shrink the usable
+// board. The graph's structural fingerprint, not its name, identifies
+// the application: two graphs built under one name must not share a
+// goal number. The HLS report is a pure function of the graph, so it
+// needs no key of its own.
 type satKey struct {
-	name  string
+	graph uint64
 	batch int
 	slots int
 }
 
-// Scheduler is the Nimblock policy.
-type Scheduler struct {
+// planner is the state the Nimblock steps share: the board shape the
+// saturation analysis sweeps, the token pool, the analysis cache and the
+// candidate scratch slice.
+type planner struct {
 	opts  Options
 	board fpga.Config
 	pool  *sched.TokenPool
@@ -57,11 +67,8 @@ type Scheduler struct {
 	cands []*sched.App // scratch, reused across Schedule calls
 }
 
-// New returns a Nimblock scheduler that will plan against boards shaped
-// like the given configuration (the saturation analysis sweeps its slot
-// count and reconfiguration latency).
-func New(opts Options, board fpga.Config) *Scheduler {
-	return &Scheduler{
+func newPlanner(opts Options, board fpga.Config) planner {
+	return planner{
 		opts:  opts,
 		board: board,
 		pool:  sched.NewTokenPool(),
@@ -69,31 +76,13 @@ func New(opts Options, board fpga.Config) *Scheduler {
 	}
 }
 
-// Name implements sched.Scheduler, matching the ablation labels used in
-// Figures 9-11 of the paper.
-func (s *Scheduler) Name() string {
-	switch {
-	case s.opts.Preemption && s.opts.Pipelining:
-		return "Nimblock"
-	case !s.opts.Preemption && s.opts.Pipelining:
-		return "NimblockNoPreempt"
-	case s.opts.Preemption && !s.opts.Pipelining:
-		return "NimblockNoPipe"
-	default:
-		return "NimblockNoPreemptNoPipe"
-	}
-}
-
-// Pipelining implements sched.Scheduler.
-func (s *Scheduler) Pipelining() bool { return s.opts.Pipelining }
-
-// Schedule implements sched.Scheduler.
-func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
+// candidates accumulates tokens and returns the candidate pool, oldest
+// first (Section 4.1). The slice is planner-owned scratch.
+func (p *planner) candidates(w sched.World) []*sched.App {
 	apps := w.Apps()
-	s.pool.Accumulate(w.Now(), apps)
-	s.cands = sched.CandidatesInto(s.cands, apps)
-	s.reallocate(w, s.cands)
-	s.selectAndLaunch(w, s.cands)
+	p.pool.Accumulate(w.Now(), apps)
+	p.cands = sched.CandidatesInto(p.cands, apps)
+	return p.cands
 }
 
 // analysis returns the cached saturation analysis for the application on
@@ -102,14 +91,14 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 // synthesis, firmly off the user flow's critical path, so treating it as
 // pre-computed here is faithful. Re-analysing at a reduced slot count
 // when faults quarantine part of the board is cheap for the same reason.
-func (s *Scheduler) analysis(a *sched.App, slots int) saturate.Result {
-	key := satKey{name: a.Name, batch: a.Batch, slots: slots}
-	if r, ok := s.cache[key]; ok {
+func (p *planner) analysis(a *sched.App, slots int) saturate.Result {
+	key := satKey{graph: a.Graph.Fingerprint(), batch: a.Batch, slots: slots}
+	if r, ok := p.cache[key]; ok {
 		return r
 	}
-	board := s.board
+	board := p.board
 	board.Slots = slots
-	r, err := saturate.AnalyzeCached(a.Graph, a.Report, a.Batch, board, s.opts.Pipelining)
+	r, err := saturate.AnalyzeCached(a.Graph, a.Report, a.Batch, board, p.opts.Pipelining)
 	if err != nil {
 		// Conservative fallback: the universally best second slot.
 		r = saturate.Result{Goal: 2, MaxUseful: a.Graph.NumTasks()}
@@ -120,29 +109,28 @@ func (s *Scheduler) analysis(a *sched.App, slots int) saturate.Result {
 	if r.MaxUseful < r.Goal {
 		r.MaxUseful = r.Goal
 	}
-	s.cache[key] = r
+	p.cache[key] = r
 	return r
 }
 
-// reallocate recomputes SlotsAllocated for every pending application
-// (Section 4.2). It runs on every scheduling opportunity, which subsumes
-// the paper's "periodic intervals plus candidate-pool changes" triggers.
-func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
+// goals recomputes SlotsAllocated for every pending application up to
+// the goal numbers (Section 4.2, phases 1 and 2) and returns the usable
+// slot count and the slots still unallocated. It runs on every
+// scheduling opportunity, which subsumes the paper's "periodic intervals
+// plus candidate-pool changes" triggers.
+func (p *planner) goals(w sched.World, cands []*sched.App) (usable, remaining int) {
 	for _, a := range w.Apps() {
 		a.SlotsAllocated = 0
 	}
 	// Budget only the usable slots: a quarantined board degrades into a
 	// smaller one and the goal numbers below are recomputed to match.
-	usable := w.UsableSlots()
-	remaining := usable
-	if remaining == 0 {
-		return
-	}
+	usable = w.UsableSlots()
+	remaining = usable
 	// Phase 1: one slot per candidate, oldest first, so every candidate
 	// makes forward progress.
 	for _, a := range cands {
 		if remaining == 0 {
-			return
+			return usable, 0
 		}
 		a.SlotsAllocated = 1
 		remaining--
@@ -150,42 +138,45 @@ func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 	// Phase 2: raise allocations to the goal number, oldest first.
 	for _, a := range cands {
 		if remaining == 0 {
-			return
+			return usable, 0
 		}
-		an := s.analysis(a, usable)
+		an := p.analysis(a, usable)
 		a.Goal = an.Goal
-		add := an.Goal - a.SlotsAllocated
-		if add > remaining {
-			add = remaining
-		}
-		if add > 0 {
-			a.SlotsAllocated += add
-			remaining -= add
-		}
+		remaining -= grant(a, an.Goal, remaining)
 	}
-	// Phase 3: hand leftover slots to applications that can still make
-	// use of them, in age order, so older applications can pipeline
-	// aggressively toward their deadlines.
+	return usable, remaining
+}
+
+// leftover is phase 3: hand the slots goals left over to applications
+// that can still make use of them, in age order, so older applications
+// can pipeline aggressively toward their deadlines.
+func (p *planner) leftover(cands []*sched.App, usable, remaining int) {
 	for _, a := range cands {
 		if remaining == 0 {
 			return
 		}
-		an := s.analysis(a, usable)
-		add := an.MaxUseful - a.SlotsAllocated
-		if add > remaining {
-			add = remaining
-		}
-		if add > 0 {
-			a.SlotsAllocated += add
-			remaining -= add
-		}
+		remaining -= grant(a, p.analysis(a, usable).MaxUseful, remaining)
 	}
 }
 
-// selectAndLaunch picks one task to configure (Section 4.3). Only one
-// slot can be reconfigured at a time, so at most one reconfiguration is
-// issued per opportunity, and only when the CAP is idle.
-func (s *Scheduler) selectAndLaunch(w sched.World, cands []*sched.App) {
+// grant raises the application's allocation toward target, by at most
+// the remaining slots, and returns how many slots it added.
+func grant(a *sched.App, target, remaining int) int {
+	add := min(target-a.SlotsAllocated, remaining)
+	if add <= 0 {
+		return 0
+	}
+	a.SlotsAllocated += add
+	return add
+}
+
+// launch picks one task to configure (Section 4.3). Only one slot can be
+// reconfigured at a time, so at most one reconfiguration is issued per
+// opportunity, and only when the CAP is idle. The first candidate with
+// allocation headroom and a configurable task wins; the lowest-index
+// free slot hosts it. When that task has no free slot, launch falls
+// back to Algorithm 2 if preemption is enabled.
+func (p *planner) launch(w sched.World, cands []*sched.App) {
 	if w.CAPBusy() {
 		return
 	}
@@ -201,9 +192,8 @@ func (s *Scheduler) selectAndLaunch(w sched.World, cands []*sched.App) {
 			w.Reconfigure(free[0], a, tasks[0])
 			return
 		}
-		// A task is ready but no slot is available: consider preemption.
-		if s.opts.Preemption {
-			s.preempt(w)
+		if p.opts.Preemption {
+			p.preempt(w)
 		}
 		return
 	}
@@ -215,12 +205,9 @@ func (s *Scheduler) selectAndLaunch(w sched.World, cands []*sched.App) {
 // mid-item and re-evaluates at the next step; our preemption request is
 // honoured by the hypervisor at the batch boundary, which yields the same
 // boundary-only semantics without re-polling.
-func (s *Scheduler) preempt(w sched.World) {
-	// One preemption in flight at a time.
-	for slot := 0; slot < w.NumSlots(); slot++ {
-		if w.PreemptRequested(slot) {
-			return
-		}
+func (p *planner) preempt(w sched.World) {
+	if preemptPending(w) {
+		return // one preemption in flight at a time
 	}
 	// An app occupying several slots is examined once per slot, but its
 	// over-consumption is identical each time and the comparison is
@@ -255,4 +242,51 @@ func (s *Scheduler) preempt(w sched.World) {
 	if bestSlot >= 0 {
 		w.RequestPreempt(bestSlot)
 	}
+}
+
+// preemptPending reports whether any slot has a preemption in flight.
+func preemptPending(w sched.World) bool {
+	for slot := 0; slot < w.NumSlots(); slot++ {
+		if w.PreemptRequested(slot) {
+			return true
+		}
+	}
+	return false
+}
+
+// Scheduler is the Nimblock policy and its ablations: every step, in
+// order.
+type Scheduler struct{ planner }
+
+// New returns a Nimblock scheduler that will plan against boards shaped
+// like the given configuration (the saturation analysis sweeps its slot
+// count and reconfiguration latency).
+func New(opts Options, board fpga.Config) *Scheduler {
+	return &Scheduler{newPlanner(opts, board)}
+}
+
+// Name implements sched.Scheduler, matching the ablation labels used in
+// Figures 9-11 of the paper.
+func (s *Scheduler) Name() string {
+	switch {
+	case s.opts.Preemption && s.opts.Pipelining:
+		return "Nimblock"
+	case !s.opts.Preemption && s.opts.Pipelining:
+		return "NimblockNoPreempt"
+	case s.opts.Preemption && !s.opts.Pipelining:
+		return "NimblockNoPipe"
+	default:
+		return "NimblockNoPreemptNoPipe"
+	}
+}
+
+// Pipelining implements sched.Scheduler.
+func (s *Scheduler) Pipelining() bool { return s.opts.Pipelining }
+
+// Schedule implements sched.Scheduler.
+func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
+	cands := s.candidates(w)
+	usable, remaining := s.goals(w, cands)
+	s.leftover(cands, usable, remaining)
+	s.launch(w, cands)
 }

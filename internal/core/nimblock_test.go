@@ -6,108 +6,26 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/fpga"
-	"nimblock/internal/hls"
+	"nimblock/internal/saturate"
 	"nimblock/internal/sched"
+	"nimblock/internal/sched/schedtest"
 	"nimblock/internal/sim"
+	"nimblock/internal/taskgraph"
 )
-
-// fakeWorld is a minimal sched.World for policy unit tests.
-type fakeWorld struct {
-	now       sim.Time
-	slots     int
-	occupants map[int]occ // slot -> occupant
-	waiting   map[int]bool
-	preempt   map[int]bool
-	offline   map[int]bool
-	capBusy   bool
-	apps      []*sched.App
-
-	reconfigs []string
-	preempts  []int
-}
-
-type occ struct {
-	app  *sched.App
-	task int
-}
-
-func newFakeWorld(slots int) *fakeWorld {
-	return &fakeWorld{
-		slots:     slots,
-		occupants: map[int]occ{},
-		waiting:   map[int]bool{},
-		preempt:   map[int]bool{},
-		offline:   map[int]bool{},
-	}
-}
-
-func (w *fakeWorld) Now() sim.Time         { return w.now }
-func (w *fakeWorld) NumSlots() int         { return w.slots }
-func (w *fakeWorld) UsableSlots() int      { return w.slots - len(w.offline) }
-func (w *fakeWorld) SlotUsable(s int) bool { return !w.offline[s] }
-func (w *fakeWorld) CAPBusy() bool         { return w.capBusy }
-func (w *fakeWorld) Apps() []*sched.App    { return w.apps }
-
-func (w *fakeWorld) FreeSlots() []int {
-	var free []int
-	for s := 0; s < w.slots; s++ {
-		if _, ok := w.occupants[s]; !ok {
-			free = append(free, s)
-		}
-	}
-	return free
-}
-
-func (w *fakeWorld) SlotOccupant(slot int) (*sched.App, int, bool) {
-	o, ok := w.occupants[slot]
-	return o.app, o.task, ok
-}
-
-func (w *fakeWorld) SlotWaiting(slot int) bool   { return w.waiting[slot] }
-func (w *fakeWorld) PreemptRequested(s int) bool { return w.preempt[s] }
-
-func (w *fakeWorld) TenantService(string) sim.Duration { return 0 }
-func (w *fakeWorld) RequestPreempt(slot int) error {
-	w.preempt[slot] = true
-	w.preempts = append(w.preempts, slot)
-	return nil
-}
-
-func (w *fakeWorld) Reconfigure(slot int, a *sched.App, task int) error {
-	if _, ok := w.occupants[slot]; ok {
-		return fmt.Errorf("slot %d occupied", slot)
-	}
-	if err := a.MarkConfiguring(task, slot); err != nil {
-		return err
-	}
-	w.occupants[slot] = occ{a, task}
-	w.reconfigs = append(w.reconfigs, fmt.Sprintf("%s#%d/t%d@s%d", a.Name, a.ID, task, slot))
-	return nil
-}
-
-// occupy places an app's task in a slot as active.
-func (w *fakeWorld) occupy(t *testing.T, slot int, a *sched.App, task int) {
-	t.Helper()
-	if err := a.MarkConfiguring(task, slot); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MarkActive(task); err != nil {
-		t.Fatal(err)
-	}
-	w.occupants[slot] = occ{a, task}
-}
 
 func mkApp(t *testing.T, id int64, name string, batch, prio int, arrival sim.Time) *sched.App {
 	t.Helper()
-	g := apps.MustGraph(name)
-	a, err := sched.NewApp(id, g, hls.Analyze(g), batch, prio, arrival)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+	return schedtest.NewApp(t, id, apps.MustGraph(name), batch, prio, arrival)
 }
 
 func board() fpga.Config { return fpga.DefaultConfig() }
+
+// reallocate runs the full scheduler's allocation steps: goals, then
+// leftover.
+func reallocate(s *Scheduler, w sched.World, cands []*sched.App) {
+	usable, remaining := s.goals(w, cands)
+	s.leftover(cands, usable, remaining)
+}
 
 func TestNames(t *testing.T) {
 	cases := map[string]Options{
@@ -132,16 +50,16 @@ func TestNames(t *testing.T) {
 
 func TestReallocateOneSlotEachOldestFirst(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(3)
+	w := schedtest.NewWorld(3)
 	// Five candidates, more than slots: only the three oldest get a slot.
 	for i := 0; i < 5; i++ {
 		a := mkApp(t, int64(i+1), apps.LeNet, 2, 3, sim.Time(i))
 		a.Candidate = true
 		a.CandidateSince = sim.Time(i)
-		w.apps = append(w.apps, a)
+		w.AppList = append(w.AppList, a)
 	}
-	s.reallocate(w, sched.Candidates(w.apps))
-	for i, a := range w.apps {
+	reallocate(s, w, sched.CandidatesInto(nil, w.AppList))
+	for i, a := range w.AppList {
 		want := 0
 		if i < 3 {
 			want = 1
@@ -154,7 +72,7 @@ func TestReallocateOneSlotEachOldestFirst(t *testing.T) {
 
 func TestReallocateGoalNumbers(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(10)
+	w := schedtest.NewWorld(10)
 	// Two candidates with plenty of slots: both reach their goal, and
 	// leftover goes to the older one up to its max useful count.
 	a := mkApp(t, 1, apps.OpticalFlow, 10, 3, 0) // 9-task chain, pipelines well
@@ -162,9 +80,9 @@ func TestReallocateGoalNumbers(t *testing.T) {
 	for _, x := range []*sched.App{a, b} {
 		x.Candidate = true
 		x.CandidateSince = x.Arrival
-		w.apps = append(w.apps, x)
+		w.AppList = append(w.AppList, x)
 	}
-	s.reallocate(w, sched.Candidates(w.apps))
+	reallocate(s, w, sched.CandidatesInto(nil, w.AppList))
 	if a.SlotsAllocated < a.Goal || b.SlotsAllocated < b.Goal {
 		t.Fatalf("allocations below goal: a=%d/%d b=%d/%d", a.SlotsAllocated, a.Goal, b.SlotsAllocated, b.Goal)
 	}
@@ -179,14 +97,14 @@ func TestReallocateGoalNumbers(t *testing.T) {
 
 func TestReallocateNonCandidatesZeroed(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(4)
+	w := schedtest.NewWorld(4)
 	a := mkApp(t, 1, apps.LeNet, 2, 9, 0)
 	a.Candidate = true
 	b := mkApp(t, 2, apps.LeNet, 2, 1, 0)
 	b.Candidate = false
 	b.SlotsAllocated = 3 // stale
-	w.apps = []*sched.App{a, b}
-	s.reallocate(w, sched.Candidates(w.apps))
+	w.AppList = []*sched.App{a, b}
+	reallocate(s, w, sched.CandidatesInto(nil, w.AppList))
 	if b.SlotsAllocated != 0 {
 		t.Fatalf("non-candidate kept allocation %d", b.SlotsAllocated)
 	}
@@ -197,18 +115,18 @@ func TestReallocateInvariants(t *testing.T) {
 	names := apps.Names()
 	for seed := 0; seed < 25; seed++ {
 		s := New(DefaultOptions(), board())
-		w := newFakeWorld(10)
+		w := schedtest.NewWorld(10)
 		n := seed%7 + 1
 		for i := 0; i < n; i++ {
 			a := mkApp(t, int64(i+1), names[(seed+i)%len(names)], (seed+i)%workloadMax+1, 3, sim.Time(i))
 			a.Candidate = true
 			a.CandidateSince = sim.Time(i)
-			w.apps = append(w.apps, a)
+			w.AppList = append(w.AppList, a)
 		}
-		cands := sched.Candidates(w.apps)
-		s.reallocate(w, cands)
+		cands := sched.CandidatesInto(nil, w.AppList)
+		reallocate(s, w, cands)
 		total := 0
-		for _, a := range w.apps {
+		for _, a := range w.AppList {
 			total += a.SlotsAllocated
 		}
 		if total > 10 {
@@ -229,49 +147,44 @@ const workloadMax = 10
 
 func TestSelectRespectsCAP(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(4)
+	w := schedtest.NewWorld(4)
 	a := mkApp(t, 1, apps.LeNet, 2, 9, 0)
-	w.apps = []*sched.App{a}
-	w.capBusy = true
+	w.AppList = []*sched.App{a}
+	w.Busy = true
 	s.Schedule(w, sched.ReasonTick)
-	if len(w.reconfigs) != 0 {
-		t.Fatalf("reconfigured %v while CAP busy", w.reconfigs)
+	if len(w.Reconfigs) != 0 {
+		t.Fatalf("reconfigured %v while CAP busy", w.Reconfigs)
 	}
-	w.capBusy = false
+	w.Busy = false
 	s.Schedule(w, sched.ReasonTick)
-	if len(w.reconfigs) != 1 {
-		t.Fatalf("reconfigs = %v, want exactly one per opportunity", w.reconfigs)
+	if len(w.Reconfigs) != 1 {
+		t.Fatalf("reconfigs = %v, want exactly one per opportunity", w.Reconfigs)
 	}
 }
 
 func TestSelectOldestCandidateFirst(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(4)
+	w := schedtest.NewWorld(4)
 	young := mkApp(t, 1, apps.LeNet, 2, 9, 10)
 	old := mkApp(t, 2, apps.LeNet, 2, 9, 0)
-	w.apps = []*sched.App{old, young}
+	w.AppList = []*sched.App{old, young}
 	s.Schedule(w, sched.ReasonTick)
-	if len(w.reconfigs) != 1 || w.reconfigs[0] != "LeNet#2/t0@s0" {
-		t.Fatalf("reconfigs = %v, want oldest app first", w.reconfigs)
+	if len(w.Reconfigs) != 1 || w.Reconfigs[0] != "LeNet#2/t0@s0" {
+		t.Fatalf("reconfigs = %v, want oldest app first", w.Reconfigs)
 	}
 }
 
 func TestSelectHonoursAllocation(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(2)
+	w := schedtest.NewWorld(2)
 	a := mkApp(t, 1, apps.OpticalFlow, 10, 9, 0)
 	b := mkApp(t, 2, apps.OpticalFlow, 10, 9, 1)
-	w.apps = []*sched.App{a, b}
+	w.AppList = []*sched.App{a, b}
 	// Run several scheduling rounds, activating configured tasks so the
 	// next round can continue.
 	for round := 0; round < 6; round++ {
 		s.Schedule(w, sched.ReasonTick)
-		for slot, o := range w.occupants {
-			if o.app.TaskState(o.task) == sched.TaskConfiguring {
-				o.app.MarkActive(o.task)
-				_ = slot
-			}
-		}
+		w.ActivateConfigured(t)
 	}
 	if a.SlotsUsed() > a.SlotsAllocated || b.SlotsUsed() > b.SlotsAllocated {
 		t.Fatalf("allocation exceeded: a=%d/%d b=%d/%d",
@@ -281,72 +194,72 @@ func TestSelectHonoursAllocation(t *testing.T) {
 
 func TestPreemptPicksMaxOverConsumer(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(4)
+	w := schedtest.NewWorld(4)
 	// hog uses 3 slots, allocated 1 -> over-consumption 2.
 	hog := mkApp(t, 1, apps.OpticalFlow, 10, 1, 0)
-	w.occupy(t, 0, hog, 0)
-	w.occupy(t, 1, hog, 1)
-	w.occupy(t, 2, hog, 2)
+	w.Occupy(t, 0, hog, 0)
+	w.Occupy(t, 1, hog, 1)
+	w.Occupy(t, 2, hog, 2)
 	hog.SlotsAllocated = 1
 	// mild uses 1 slot, allocated 0 -> over-consumption 1.
 	mild := mkApp(t, 2, apps.LeNet, 5, 1, 0)
-	w.occupy(t, 3, mild, 0)
+	w.Occupy(t, 3, mild, 0)
 	mild.SlotsAllocated = 0
-	w.apps = []*sched.App{hog, mild}
+	w.AppList = []*sched.App{hog, mild}
 
 	s.preempt(w)
-	if len(w.preempts) != 1 {
-		t.Fatalf("preempts = %v, want exactly one", w.preempts)
+	if len(w.Preempts) != 1 {
+		t.Fatalf("preempts = %v, want exactly one", w.Preempts)
 	}
 	// Victim must be the hog's topologically latest running task (task 2
 	// in slot 2), never a pipelined dependency.
-	if w.preempts[0] != 2 {
-		t.Fatalf("preempted slot %d, want 2 (latest topo task of max over-consumer)", w.preempts[0])
+	if w.Preempts[0] != 2 {
+		t.Fatalf("preempted slot %d, want 2 (latest topo task of max over-consumer)", w.Preempts[0])
 	}
 }
 
 func TestPreemptNoOverConsumer(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(2)
+	w := schedtest.NewWorld(2)
 	a := mkApp(t, 1, apps.LeNet, 2, 3, 0)
-	w.occupy(t, 0, a, 0)
+	w.Occupy(t, 0, a, 0)
 	a.SlotsAllocated = 2
-	w.apps = []*sched.App{a}
+	w.AppList = []*sched.App{a}
 	s.preempt(w)
-	if len(w.preempts) != 0 {
+	if len(w.Preempts) != 0 {
 		t.Fatal("preempted without an over-consumer")
 	}
 }
 
 func TestPreemptOnePendingAtATime(t *testing.T) {
 	s := New(DefaultOptions(), board())
-	w := newFakeWorld(3)
+	w := schedtest.NewWorld(3)
 	hog := mkApp(t, 1, apps.OpticalFlow, 10, 1, 0)
-	w.occupy(t, 0, hog, 0)
-	w.occupy(t, 1, hog, 1)
+	w.Occupy(t, 0, hog, 0)
+	w.Occupy(t, 1, hog, 1)
 	hog.SlotsAllocated = 1
-	w.apps = []*sched.App{hog}
+	w.AppList = []*sched.App{hog}
 	s.preempt(w)
 	s.preempt(w)
-	if len(w.preempts) != 1 {
-		t.Fatalf("preempts = %v, want one while a request is pending", w.preempts)
+	if len(w.Preempts) != 1 {
+		t.Fatalf("preempts = %v, want one while a request is pending", w.Preempts)
 	}
 }
 
 func TestNoPreemptOptionNeverPreempts(t *testing.T) {
 	s := New(Options{Pipelining: true}, board())
-	w := newFakeWorld(2)
+	w := schedtest.NewWorld(2)
 	hog := mkApp(t, 1, apps.OpticalFlow, 10, 1, 0)
-	w.occupy(t, 0, hog, 0)
-	w.occupy(t, 1, hog, 1)
+	w.Occupy(t, 0, hog, 0)
+	w.Occupy(t, 1, hog, 1)
 	hog.SlotsAllocated = 0
 	hog.Candidate = true
 	newcomer := mkApp(t, 2, apps.LeNet, 2, 9, 1)
 	newcomer.Candidate = true
-	w.apps = []*sched.App{hog, newcomer}
+	w.AppList = []*sched.App{hog, newcomer}
 	s.Schedule(w, sched.ReasonTick)
-	if len(w.preempts) != 0 {
-		t.Fatalf("NoPreempt variant preempted: %v", w.preempts)
+	if len(w.Preempts) != 0 {
+		t.Fatalf("NoPreempt variant preempted: %v", w.Preempts)
 	}
 }
 
@@ -366,5 +279,32 @@ func TestAnalysisFallbackSane(t *testing.T) {
 	// A degraded board caps the useful allocation at its usable size.
 	if deg := s.analysis(a, 2); deg.Goal > 2 || deg.MaxUseful > 2 {
 		t.Fatalf("degraded analysis = %+v, want goal and max within 2 slots", deg)
+	}
+}
+
+// Two different graphs submitted under one name must not share a goal
+// number: the saturation cache keys by graph structure, not by name.
+func TestGoalKeyedByGraphNotName(t *testing.T) {
+	chain := taskgraph.NewBuilder("job")
+	chain.AddTask("t0", 100*sim.Millisecond)
+	wide := taskgraph.NewBuilder("job")
+	for i := 0; i < 6; i++ {
+		wide.AddTask(fmt.Sprintf("t%d", i), 100*sim.Millisecond)
+	}
+	s := New(DefaultOptions(), board())
+	w := schedtest.NewWorld(10)
+	first := schedtest.NewApp(t, 1, chain.MustBuild(), 4, 3, 0)
+	w.AppList = []*sched.App{first}
+	s.Schedule(w, sched.ReasonArrival)
+
+	second := schedtest.NewApp(t, 2, wide.MustBuild(), 4, 3, 0)
+	w.AppList = []*sched.App{second}
+	s.Schedule(w, sched.ReasonArrival)
+	own, err := saturate.AnalyzeCached(second.Graph, second.Report, second.Batch, board(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Goal != own.Goal || own.Goal == first.Goal {
+		t.Fatalf("wide graph goal %d, want its own analysis %d (chain sharing its name got %d)", second.Goal, own.Goal, first.Goal)
 	}
 }

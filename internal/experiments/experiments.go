@@ -18,8 +18,6 @@ import (
 	"nimblock/internal/obs"
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/baseline"
-	"nimblock/internal/sched/ckpt"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sched/fcfs"
 	"nimblock/internal/sched/prema"
 	"nimblock/internal/sched/rr"
@@ -101,9 +99,9 @@ func NewPolicy(name string, board fpga.Config) (sched.Scheduler, error) {
 	case "NimblockNoPreemptNoPipe":
 		return core.New(core.Options{}, board), nil
 	case "NimblockCheckpoint":
-		return ckpt.New(ckpt.DefaultOptions(), board), nil
+		return core.NewCheckpoint(board), nil
 	case "NimblockEnergy":
-		return energy.New(board), nil
+		return core.NewEnergy(board), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown policy %q", name)
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/core"
 	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/sched"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sched/schedtest"
 	"nimblock/internal/sim"
 	"nimblock/internal/workload"
@@ -21,7 +21,7 @@ import (
 func sixPolicies() map[string]func() sched.Scheduler {
 	m := policies()
 	board := hv.DefaultConfig().Board
-	m["NimblockEnergy"] = func() sched.Scheduler { return energy.New(board) }
+	m["NimblockEnergy"] = func() sched.Scheduler { return core.NewEnergy(board) }
 	return m
 }
 
@@ -161,7 +161,7 @@ func fairnessRun(t *testing.T, seed int64, weightA, weightB float64) map[string]
 	// Probe run: measure the makespan of this exact workload so the
 	// fairness snapshot lands mid-run with both tenants still backlogged.
 	probeEng := sim.NewEngine()
-	probe, err := hv.New(probeEng, hv.DefaultConfig(), energy.New(hv.DefaultConfig().Board))
+	probe, err := hv.New(probeEng, hv.DefaultConfig(), core.NewEnergy(hv.DefaultConfig().Board))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func fairnessRun(t *testing.T, seed int64, weightA, weightB float64) map[string]
 		}
 	}
 	eng := sim.NewEngine()
-	h, err := hv.New(eng, hv.DefaultConfig(), energy.New(hv.DefaultConfig().Board))
+	h, err := hv.New(eng, hv.DefaultConfig(), core.NewEnergy(hv.DefaultConfig().Board))
 	if err != nil {
 		t.Fatal(err)
 	}

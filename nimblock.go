@@ -26,19 +26,13 @@ import (
 	"time"
 
 	"nimblock/internal/apps"
-	"nimblock/internal/core"
+	"nimblock/internal/experiments"
 	"nimblock/internal/faults"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
 	"nimblock/internal/interconnect"
 	"nimblock/internal/metrics"
 	"nimblock/internal/sched"
-	"nimblock/internal/sched/baseline"
-	"nimblock/internal/sched/ckpt"
-	"nimblock/internal/sched/energy"
-	"nimblock/internal/sched/fcfs"
-	"nimblock/internal/sched/prema"
-	"nimblock/internal/sched/rr"
 	"nimblock/internal/sim"
 	"nimblock/internal/taskgraph"
 	"nimblock/internal/trace"
@@ -355,32 +349,14 @@ type System struct {
 	energy *hv.EnergyStats
 }
 
-// newPolicy builds the scheduler for the config.
+// newPolicy builds the scheduler for the config from the one policy
+// registry, experiments.NewPolicy.
 func newPolicy(cfg Config, board hv.Config) (sched.Scheduler, error) {
-	switch cfg.Algorithm {
-	case AlgoNimblock:
-		return core.New(core.Options{Preemption: true, Pipelining: true}, board.Board), nil
-	case AlgoNimblockNoPreempt:
-		return core.New(core.Options{Pipelining: true}, board.Board), nil
-	case AlgoNimblockNoPipe:
-		return core.New(core.Options{Preemption: true}, board.Board), nil
-	case AlgoNimblockNoPreemptNoPipe:
-		return core.New(core.Options{}, board.Board), nil
-	case AlgoNimblockCheckpoint:
-		return ckpt.New(ckpt.DefaultOptions(), board.Board), nil
-	case AlgoNimblockEnergy:
-		return energy.New(board.Board), nil
-	case AlgoBaseline:
-		return baseline.New(), nil
-	case AlgoFCFS:
-		return fcfs.New(), nil
-	case AlgoPREMA:
-		return prema.New(), nil
-	case AlgoRR:
-		return rr.New(), nil
-	default:
+	pol, err := experiments.NewPolicy(string(cfg.Algorithm), board.Board)
+	if err != nil {
 		return nil, fmt.Errorf("nimblock: unknown algorithm %q", cfg.Algorithm)
 	}
+	return pol, nil
 }
 
 // NewSystem builds a virtualized FPGA system.
