@@ -5,9 +5,9 @@
 // launch, buffer management, batch-boundary preemption — and exposes them
 // through the World interface. A Scheduler is pure policy: at each
 // scheduling opportunity it inspects the world and issues reconfiguration
-// or preemption requests. Five policies are implemented: the no-sharing
-// baseline, FCFS, task-based PREMA, Coyote-style round-robin, and the
-// Nimblock algorithm itself (package core).
+// or preemption requests. Five policy families are implemented: the
+// no-sharing baseline, FCFS, task-based PREMA, Coyote-style round-robin,
+// and the Nimblock algorithm itself with its variants (package core).
 package sched
 
 import (
@@ -237,9 +237,6 @@ func (a *App) TaskSlot(t int) int { return a.slot[t] }
 
 // DoneCount reports how many items task t has completed.
 func (a *App) DoneCount(t int) int { return a.doneCnt[t] }
-
-// ItemDone reports whether task t has completed item i.
-func (a *App) ItemDone(t, i int) bool { return a.done[t*a.Batch+i] }
 
 // InflightItem reports the item task t is currently processing, or -1.
 func (a *App) InflightItem(t int) int { return a.inflight[t] }

@@ -120,16 +120,11 @@ func (p *TokenPool) updateCandidates(now sim.Time, apps []*App) {
 	}
 }
 
-// Candidates returns the candidate applications ordered by age in the
-// pool (earliest CandidateSince first, ties by arrival then ID): the
-// order Nimblock allocates and selects in.
-func Candidates(apps []*App) []*App {
-	return CandidatesInto(nil, apps)
-}
-
-// CandidatesInto is Candidates appending into dst (reset to length zero
-// first), letting policies reuse a scratch slice across scheduling
-// opportunities instead of allocating per call.
+// CandidatesInto returns the candidate applications ordered by age in
+// the pool (earliest CandidateSince first, ties by arrival then ID): the
+// order Nimblock allocates and selects in. It appends into dst (reset to
+// length zero first), letting policies reuse a scratch slice across
+// scheduling opportunities instead of allocating per call.
 func CandidatesInto(dst []*App, apps []*App) []*App {
 	out := dst[:0]
 	for _, a := range apps {
