@@ -22,7 +22,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nimblock/internal/apps"
 	"nimblock/internal/dispatch"
@@ -52,8 +51,8 @@ type Config struct {
 	// board load refreshed once per epoch, and shards never diverge by
 	// more than one epoch.
 	Epoch sim.Duration
-	// Workers bounds the goroutines advancing shards; 0 means one per
-	// shard (capped by GOMAXPROCS by the runtime's own scheduling).
+	// Workers bounds the goroutines advancing shards; 0 means
+	// GOMAXPROCS. Either way it is capped at the shard count.
 	Workers int
 	// MaxOutstanding, when positive, sheds arrivals once the fleet's
 	// estimated pending submissions reach the cap — open-loop overload
@@ -115,7 +114,7 @@ type Fleet struct {
 	routed  []sim.Duration // estimates routed since the last barrier
 	pendEst int            // barrier pending + routed since, for shedding
 
-	graphs  sync.Map // app name -> *taskgraph.Graph, O(apps) not O(events)
+	graphs  map[string]*taskgraph.Graph // by app name: O(apps), not O(events)
 	estMemo map[estKey]sim.Duration
 
 	subs     int
@@ -161,6 +160,7 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 		down:     make([]bool, cfg.Boards),
 		outSnap:  make([]sim.Duration, cfg.Boards),
 		routed:   make([]sim.Duration, cfg.Boards),
+		graphs:   map[string]*taskgraph.Graph{},
 		estMemo:  map[estKey]sim.Duration{},
 		rejected: map[int]Result{},
 	}
@@ -212,17 +212,18 @@ func (f *Fleet) Board(g int) hv.Instance {
 func (f *Fleet) SetBoardDown(g int, down bool) { f.down[g] = down }
 
 // graph resolves an application name to its shared immutable task
-// graph; one graph per distinct app regardless of arrival count.
+// graph; one graph per distinct app regardless of arrival count. Only
+// route calls it, on the coordinator goroutine.
 func (f *Fleet) graph(name string) (*taskgraph.Graph, error) {
-	if g, ok := f.graphs.Load(name); ok {
-		return g.(*taskgraph.Graph), nil
+	if g, ok := f.graphs[name]; ok {
+		return g, nil
 	}
 	g, err := apps.Graph(name)
 	if err != nil {
 		return nil, err
 	}
-	got, _ := f.graphs.LoadOrStore(name, g)
-	return got.(*taskgraph.Graph), nil
+	f.graphs[name] = g
+	return g, nil
 }
 
 // estimate is the placement-time work estimate of one arrival on board

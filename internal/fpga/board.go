@@ -542,16 +542,9 @@ func (b *Board) SetOffline(slot int) error {
 // SlotUsable reports whether slot i is still in service.
 func (b *Board) SlotUsable(i int) bool { return b.slots[i].State != SlotOffline }
 
-// UsableSlots counts slots still in service.
-func (b *Board) UsableSlots() int {
-	n := 0
-	for _, s := range b.slots {
-		if s.State != SlotOffline {
-			n++
-		}
-	}
-	return n
-}
+// UsableSlots counts slots still in service. takeOffline keeps the
+// count, so the query is O(1).
+func (b *Board) UsableSlots() int { return b.usable }
 
 // OfflineSlots lists the IDs of slots permanently out of service.
 func (b *Board) OfflineSlots() []int {

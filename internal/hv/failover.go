@@ -164,6 +164,7 @@ func (h *Hypervisor) Evacuate() []Evacuee {
 	h.apps = kept
 	h.pending = h.pending[:0]
 	h.transit = h.transit[:0]
+	h.outstanding = 0
 	for s := range h.slots {
 		h.slots[s] = slotRuntime{curItem: -1}
 	}
@@ -228,6 +229,7 @@ func (h *Hypervisor) Abort(id int64) (bool, sim.Duration) {
 	}
 	h.abortedIDs[id] = true
 	app.MarkAborted()
+	h.outstanding -= app.RemainingEstimate()
 	for i, a := range h.apps {
 		if a == app {
 			h.apps = append(h.apps[:i], h.apps[i+1:]...)

@@ -305,6 +305,10 @@ type Hypervisor struct {
 	// Recovery() merges in the board's reconfiguration-side numbers.
 	rec RecoveryStats
 
+	// outstanding is the sum of RemainingEstimate over pending and
+	// transit, kept incrementally (see OutstandingEstimate).
+	outstanding sim.Duration
+
 	tickPending bool
 	err         error
 
@@ -589,6 +593,7 @@ func (h *Hypervisor) SubmitID(g *taskgraph.Graph, batch, priority int, arrival s
 	}
 	h.apps = append(h.apps, app)
 	h.transit = append(h.transit, app)
+	h.outstanding += app.RemainingEstimate()
 	h.eng.At(arrival, func() { h.arrive(app) })
 	return app.ID, nil
 }
@@ -1568,6 +1573,7 @@ func (h *Hypervisor) itemDone(slot int, a *sched.App, task, item int, lat sim.Du
 		h.fail(err)
 		return
 	}
+	h.outstanding -= a.Report.Task(task).Latency
 	h.recordProduction(a, task, item, slot)
 	run := lat
 	if h.ckptOn() {
@@ -1787,16 +1793,11 @@ func (h *Hypervisor) Utilization(until sim.Time) float64 {
 // Applications submitted for the current instant whose arrival event has
 // not yet fired are included: without them, simultaneous dispatch
 // decisions would not see each other and would all pick the same board.
-func (h *Hypervisor) OutstandingEstimate() sim.Duration {
-	var total sim.Duration
-	for _, a := range h.pending {
-		total += a.RemainingEstimate()
-	}
-	for _, a := range h.transit {
-		total += a.RemainingEstimate()
-	}
-	return total
-}
+// Dispatchers read it for every board at every placement or barrier, so
+// the sum is kept as a running total: submission adds an application's
+// estimate, each finished item subtracts its task's, and Abort and
+// Evacuate drop what the cancelled applications had left.
+func (h *Hypervisor) OutstandingEstimate() sim.Duration { return h.outstanding }
 
 // PendingCount reports applications submitted and not yet retired,
 // including submissions whose arrival event has not yet fired (see

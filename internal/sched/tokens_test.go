@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -118,13 +119,32 @@ func TestCandidatesOrderedByPoolAge(t *testing.T) {
 	}
 }
 
-func TestRetiredAppsForgotten(t *testing.T) {
+// The pool keeps no per-application state — each App carries its own
+// last-accrual time — so a retired app cannot leak from it, and an app
+// missing from some calls resumes accrual from its own last accrual,
+// not from whenever the pool last ran.
+func TestPoolHoldsNoPerAppState(t *testing.T) {
 	p := NewTokenPool()
 	a := mkApp(t, 1, apps.LeNet, 5, 9, 0)
+	b := mkApp(t, 2, apps.LeNet, 5, 3, 0)
 	p.Accumulate(0, []*App{a})
-	p.Accumulate(sim.Time(sim.Second), nil) // app retired
-	if len(p.seen) != 0 {
-		t.Fatalf("pool still tracks %d retired apps", len(p.seen))
+	p.Accumulate(sim.Time(sim.Second), []*App{a, b})
+	p.Accumulate(3*sim.Time(sim.Second), []*App{b})
+	p.Accumulate(5*sim.Time(sim.Second), nil) // both retired
+	if *p != *NewTokenPool() {
+		t.Fatalf("pool carries state after its apps retired: %+v", *p)
+	}
+	rate := func(x *App) float64 {
+		return DefaultAlpha * float64(x.Priority) / float64(x.Report.AppLatency())
+	}
+	// b joined at 1 s with tokens equal to its priority and accrued to 3 s.
+	if want := 3 + rate(b)*float64(2*sim.Second); math.Abs(b.Tokens-want) > 1e-9*want {
+		t.Fatalf("b tokens %v, want %v", b.Tokens, want)
+	}
+	// a last accrued at 1 s; brought back at 6 s it accrues 5 s more.
+	p.Accumulate(6*sim.Time(sim.Second), []*App{a})
+	if want := 9 + rate(a)*float64(sim.Second) + rate(a)*float64(5*sim.Second); math.Abs(a.Tokens-want) > 1e-9*want {
+		t.Fatalf("a tokens %v, want %v", a.Tokens, want)
 	}
 }
 
