@@ -282,6 +282,32 @@ func TestAnalysisFallbackSane(t *testing.T) {
 	}
 }
 
+// The goal numbers an app keeps between scheduling opportunities must
+// follow the usable slot count: when faults shrink the board, the next
+// pass re-analyses at the smaller size.
+func TestGoalFollowsUsableSlots(t *testing.T) {
+	s := New(DefaultOptions(), board())
+	w := schedtest.NewWorld(10)
+	a := mkApp(t, 1, apps.AlexNet, 5, 3, 0)
+	w.AppList = []*sched.App{a}
+	s.Schedule(w, sched.ReasonTick)
+	full := s.analysis(a, 10)
+	if a.Goal != full.Goal || a.MaxUseful != full.MaxUseful || a.GoalSlots != 10 {
+		t.Fatalf("goal %d max %d at %d slots, want %+v at 10", a.Goal, a.MaxUseful, a.GoalSlots, full)
+	}
+	for slot := 2; slot < 10; slot++ {
+		w.Offline[slot] = true
+	}
+	s.Schedule(w, sched.ReasonTick)
+	deg := s.analysis(a, 2)
+	if deg.Goal == full.Goal && deg.MaxUseful == full.MaxUseful {
+		t.Fatal("the scenario does not tell the two board sizes apart")
+	}
+	if a.Goal != deg.Goal || a.MaxUseful != deg.MaxUseful || a.GoalSlots != 2 {
+		t.Fatalf("goal %d max %d at %d slots after degrading, want %+v at 2", a.Goal, a.MaxUseful, a.GoalSlots, deg)
+	}
+}
+
 // Two different graphs submitted under one name must not share a goal
 // number: the saturation cache keys by graph structure, not by name.
 func TestGoalKeyedByGraphNotName(t *testing.T) {

@@ -10,24 +10,16 @@
 package prema
 
 import (
+	"cmp"
 	"slices"
 
 	"nimblock/internal/sched"
-	"nimblock/internal/sim"
 )
-
-// byRem pairs a candidate with its remaining-work estimate so the sort
-// computes each estimate once instead of O(n log n) times.
-type byRem struct {
-	app *sched.App
-	rem sim.Duration
-}
 
 // Scheduler is the task-based PREMA policy.
 type Scheduler struct {
 	pool  *sched.TokenPool
 	cands []*sched.App // scratch, reused across Schedule calls
-	order []byRem      // scratch, reused across Schedule calls
 }
 
 // New returns a PREMA scheduler.
@@ -45,30 +37,15 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	s.pool.Accumulate(w.Now(), apps)
 	s.cands = sched.CandidatesInto(s.cands, apps)
 	// Shortest estimated remaining work first (PREMA's selection rule).
-	order := s.order[:0]
-	for _, a := range s.cands {
-		order = append(order, byRem{app: a, rem: a.RemainingEstimate()})
-	}
-	slices.SortStableFunc(order, func(x, y byRem) int {
-		if x.rem != y.rem {
-			if x.rem < y.rem {
-				return -1
-			}
-			return 1
+	slices.SortStableFunc(s.cands, func(x, y *sched.App) int {
+		if c := cmp.Compare(x.RemainingEstimate(), y.RemainingEstimate()); c != 0 {
+			return c
 		}
-		if x.app.ID < y.app.ID {
-			return -1
-		}
-		if x.app.ID > y.app.ID {
-			return 1
-		}
-		return 0
+		return cmp.Compare(x.ID, y.ID)
 	})
-	s.order = order
 	free := w.FreeSlots()
 	idx := 0
-	for _, c := range order {
-		a := c.app
+	for _, a := range s.cands {
 		// Re-evaluate after each configuration: prefetching a task makes
 		// its successors configurable.
 		for {
