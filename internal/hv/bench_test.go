@@ -56,3 +56,37 @@ func BenchmarkSingleSlotLatency(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCheckpointedRun is BenchmarkHypervisorRun with periodic
+// checkpointing every 50 ms, plus a DigitRecognition submission. The
+// short items pass a preemption point almost every period; the long
+// DigitRecognition items run for seconds, so most of their periods pass
+// none.
+// allocs/op and events/op do not depend on the host, so they are the
+// durable record of what the periodic-save path costs.
+func BenchmarkCheckpointedRun(b *testing.B) {
+	cfg := hv.DefaultConfig()
+	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond}
+	var events, saves int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		h, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board))
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs := append(mixedWorkloadBench(), submission{apps.DigitRecognition, 2, 3, 0})
+		for _, s := range subs {
+			if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := h.Run(); err != nil {
+			b.Fatal(err)
+		}
+		events += eng.Fired()
+		saves += int64(h.Recovery().CheckpointSaves)
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(saves)/float64(b.N), "saves/op")
+}

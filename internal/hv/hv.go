@@ -116,7 +116,7 @@ type CheckpointConfig struct {
 	Enabled bool
 	// Period, when positive, saves a checkpoint periodically while an
 	// item runs (skipped when no new preemption point has been passed).
-	// Zero means on-demand captures only.
+	// Zero means on-demand captures only. At most sim.MaxTickPeriod.
 	Period sim.Duration
 	// StateBytes is the per-task state size used when a task declares
 	// none (taskgraph.Task.StateBytes). Zero selects DefaultStateBytes.
@@ -375,6 +375,9 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 		}
 		if cfg.Checkpoint.Period < 0 || cfg.Checkpoint.StateBytes < 0 || cfg.Checkpoint.DefaultPoints < 0 {
 			return nil, fmt.Errorf("hv: negative checkpoint parameters")
+		}
+		if cfg.Checkpoint.Period > sim.MaxTickPeriod {
+			return nil, fmt.Errorf("hv: checkpoint period %v exceeds %v", cfg.Checkpoint.Period, sim.MaxTickPeriod)
 		}
 		if cfg.Checkpoint.StateBytes == 0 {
 			cfg.Checkpoint.StateBytes = DefaultStateBytes
@@ -1266,9 +1269,58 @@ func (h *Hypervisor) beginRun(slot int, a *sched.App, task, item int) {
 	if h.cfg.WatchdogFactor > 0 && rt.wdLeft > 0 {
 		rt.wdEv = h.eng.AfterCancellable(rt.wdLeft, func() { h.watchdogFire(slot, a, task, item) })
 	}
-	if p := h.cfg.Checkpoint.Period; p > 0 && !rt.hung {
-		rt.ckptEv = h.eng.AfterCancellable(p, func() { h.ckptSave(slot, a, task, item) })
+	if h.cfg.Checkpoint.Period > 0 && !rt.hung {
+		h.armCkpt(slot, a, task, item)
 	}
+}
+
+// armCkpt arms the periodic checkpoint of the running stretch at the
+// first period tick that saves. The ticks before it stay on the engine
+// as silent ticks, so same-instant event order is exactly that of a
+// timer re-armed every period; ticks after the stretch's last save are
+// never armed.
+func (h *Hypervisor) armCkpt(slot int, a *sched.App, task, item int) {
+	rt := &h.slots[slot]
+	rt.ckptEv = 0
+	rec, _ := h.ckptGet(a.ID, task, item)
+	j := h.nextSave(rt, a, task, h.eng.Now().Sub(rt.itemStart), rec.progress)
+	if j == 0 {
+		return
+	}
+	rt.ckptEv = h.eng.AfterCancellableTick(h.cfg.Checkpoint.Period, min(j, sim.MaxTicks), func() { h.ckptSave(slot, a, task, item) })
+}
+
+// nextSave returns the first period tick j >= 1, counted from since
+// into the running stretch, at which ckptSave would capture a point
+// newer than have, or 0 if no tick before the stretch completes would.
+// A tick at the completion instant never saves: the completion was
+// armed first and wins the tie. The snapshot is non-decreasing in
+// elapsed time, so a binary search finds the tick a timer polling every
+// period would have saved at.
+func (h *Hypervisor) nextSave(rt *slotRuntime, a *sched.App, task int, since, have sim.Duration) int64 {
+	p := h.cfg.Checkpoint.Period
+	saves := func(j int64) bool { return h.saveSnap(rt, a, task, since+sim.Duration(j)*p) > have }
+	last := int64((rt.itemLat - since - 1) / p) // the last tick strictly before completion
+	if last < 1 || !saves(last) {
+		return 0
+	}
+	lo, hi := int64(1), last // tick hi saves; find the first that does
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; saves(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// saveSnap is the nominal progress of the latest preemption point the
+// attempt has passed elapsed wall time into its running stretch.
+func (h *Hypervisor) saveSnap(rt *slotRuntime, a *sched.App, task int, elapsed sim.Duration) sim.Duration {
+	nominal := a.Graph.Task(task).Latency
+	frac := float64(rt.base+rt.doneNominal+unstretchDur(elapsed, rt.factor)) / float64(nominal)
+	return sim.Duration(a.Graph.SnapFraction(task, frac, h.cfg.Checkpoint.DefaultPoints) * float64(nominal))
 }
 
 // ckptSave is the periodic checkpoint: if the item has passed a new
@@ -1283,23 +1335,19 @@ func (h *Hypervisor) ckptSave(slot int, a *sched.App, task, item int) {
 	if rt.app != a || rt.task != task || rt.curItem != item || rt.saving || rt.restoring || rt.hung {
 		return // stale timer
 	}
-	nominal := a.Graph.Task(task).Latency
 	elapsed := h.eng.Now().Sub(rt.itemStart)
-	progressed := unstretchDur(elapsed, rt.factor)
-	frac := float64(rt.base+rt.doneNominal+progressed) / float64(nominal)
-	snap := sim.Duration(a.Graph.SnapFraction(task, frac, h.cfg.Checkpoint.DefaultPoints) * float64(nominal))
-	rec, _ := h.ckptGet(a.ID, task, item)
-	if snap <= rec.progress {
-		// No new preemption point passed: nothing to capture; try again
-		// next period.
-		rt.ckptEv = h.eng.AfterCancellable(h.cfg.Checkpoint.Period, func() { h.ckptSave(slot, a, task, item) })
+	snap := h.saveSnap(rt, a, task, elapsed)
+	if rec, _ := h.ckptGet(a.ID, task, item); snap <= rec.progress {
+		// No new preemption point passed. armCkpt aims at a saving
+		// tick, so this is a count beyond sim.MaxTicks: count on.
+		h.armCkpt(slot, a, task, item)
 		return
 	}
 	h.eng.Cancel(rt.itemEv)
 	h.eng.Cancel(rt.wdEv)
 	rt.itemEv, rt.wdEv, rt.ckptEv = 0, 0, 0
 	rt.doneWall += elapsed
-	rt.doneNominal += progressed
+	rt.doneNominal += unstretchDur(elapsed, rt.factor)
 	// The pause consumes watchdog budget (transfer time does not: the
 	// kernel is not executing while its state streams out).
 	rt.wdLeft -= elapsed
@@ -1364,8 +1412,7 @@ func (h *Hypervisor) startOnDemandCheckpoint(slot int) {
 	rt.doneNominal += progressed
 	rt.saving = true
 	nominal := a.Graph.Task(task).Latency
-	frac := float64(rt.base+rt.doneNominal) / float64(nominal)
-	snap := sim.Duration(a.Graph.SnapFraction(task, frac, h.cfg.Checkpoint.DefaultPoints) * float64(nominal))
+	snap := h.saveSnap(rt, a, task, 0)
 	rec, _ := h.ckptGet(a.ID, task, item)
 	if snap <= rec.progress {
 		// No new point passed since the last capture (or none at all):

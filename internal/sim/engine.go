@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -29,16 +30,25 @@ const (
 	sweepFloor  = 64
 )
 
+// MaxTicks bounds the tick count and MaxTickPeriod the period of a
+// tick timer (AfterCancellableTick); both are stored in 32 bits so that
+// an event stays 48 bytes. MaxTickPeriod is ~71.6 minutes.
+const (
+	MaxTicks      = math.MaxUint32
+	MaxTickPeriod = Duration(math.MaxUint32)
+)
+
 // event is a pending callback in the simulation. Events are allocated
 // from a per-engine freelist (chunked, intrusively linked through next)
 // and never touch the garbage collector on the steady-state path.
 type event struct {
-	at      Time
-	seq     int64 // schedule order; breaks ties deterministically
-	id      EventID
-	fn      func() // nil marks a cancelled event (tombstone)
-	next    *event // bucket chain, or freelist chain
-	tracked bool   // registered in live (cancellable)
+	at     Time
+	seq    int64   // schedule order; breaks ties deterministically
+	id     EventID // non-zero iff registered in live (cancellable)
+	fn     func()  // nil marks a cancelled event (tombstone)
+	next   *event  // bucket chain, or freelist chain
+	silent uint32  // tick timer: silent ticks left before fn runs
+	period uint32  // tick timer: microseconds between ticks
 }
 
 // wheelLevel is one ring of the timing wheel. occupied has bit s set iff
@@ -96,7 +106,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Pending() int { return e.pending }
 
 // Fired reports the total number of events fired since the engine was
-// created. It feeds the events/sec figure in cmd/nimblock-bench.
+// created, silent ticks of tick timers included. It feeds the
+// events/sec figure in cmd/nimblock-bench.
 func (e *Engine) Fired() int64 { return e.fired }
 
 // alloc takes an event from the freelist, growing it by a chunk when
@@ -122,7 +133,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.id = 0
-	ev.tracked = false
+	ev.silent, ev.period = 0, 0
 	ev.next = e.freeList
 	e.freeList = ev
 }
@@ -157,7 +168,7 @@ func (e *Engine) insert(ev *event) {
 }
 
 // schedule validates and enqueues one event.
-func (e *Engine) schedule(at Time, fn func(), tracked bool) *event {
+func (e *Engine) schedule(at Time, fn func()) *event {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
@@ -169,7 +180,7 @@ func (e *Engine) schedule(at Time, fn func(), tracked bool) *event {
 	}
 	e.nextSeq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.tracked = at, e.nextSeq, fn, tracked
+	ev.at, ev.seq, ev.fn = at, e.nextSeq, fn
 	e.insert(ev)
 	e.pending++
 	return ev
@@ -356,7 +367,7 @@ func (e *Engine) ensureNext() bool {
 // use AtCancellable when a handle is needed. Scheduling in the past
 // (before Now) panics: it would silently reorder causality.
 func (e *Engine) At(at Time, fn func()) {
-	e.schedule(at, fn, false)
+	e.schedule(at, fn)
 }
 
 // After schedules fn to run d after the current time. Negative delays are
@@ -372,7 +383,11 @@ func (e *Engine) After(d Duration, fn func()) {
 // Cancel accepts. It costs one map insert over At; reserve it for events
 // that may actually be cancelled (timeouts, watchdogs, preemptable work).
 func (e *Engine) AtCancellable(at Time, fn func()) EventID {
-	ev := e.schedule(at, fn, true)
+	return e.track(e.schedule(at, fn))
+}
+
+// track registers a scheduled event as cancellable.
+func (e *Engine) track(ev *event) EventID {
 	e.nextID++
 	ev.id = e.nextID
 	if e.live == nil {
@@ -389,6 +404,24 @@ func (e *Engine) AfterCancellable(d Duration, fn func()) EventID {
 		d = 0
 	}
 	return e.AtCancellable(e.now.Add(d), fn)
+}
+
+// AfterCancellableTick schedules fn to run on the n-th tick of a
+// period-d clock started now, that is at now + n*d, and returns a
+// cancellation handle. It behaves exactly like a callback armed with
+// AfterCancellable(d) that re-arms itself n-1 times before running fn:
+// each earlier tick sets the clock, counts in Fired, and takes a fresh
+// schedule position, so same-instant order is what the chain would
+// produce. The ticks run no callback and allocate nothing, and the
+// handle stays valid across them. d must be in [1, MaxTickPeriod] and n
+// in [1, MaxTicks].
+func (e *Engine) AfterCancellableTick(d Duration, n int64, fn func()) EventID {
+	if d < 1 || d > MaxTickPeriod || n < 1 || n > MaxTicks {
+		panic(fmt.Sprintf("sim: tick timer out of range (period=%v n=%d)", d, n))
+	}
+	ev := e.schedule(e.now.Add(d), fn)
+	ev.silent, ev.period = uint32(n-1), uint32(d)
+	return e.track(ev)
 }
 
 // Cancel removes a pending cancellable event. It reports whether the event
@@ -463,12 +496,22 @@ func (e *Engine) Step() bool {
 	ev := e.batch[e.batchPos]
 	e.batch[e.batchPos] = nil
 	e.batchPos++
-	if ev.tracked {
+	e.now = ev.at
+	e.fired++
+	if ev.silent > 0 {
+		// A silent tick: re-sequence and re-insert one period later,
+		// exactly where a self-re-arming callback would have landed.
+		ev.silent--
+		e.nextSeq++
+		ev.seq = e.nextSeq
+		ev.at = ev.at.Add(Duration(ev.period))
+		e.insert(ev)
+		return true
+	}
+	if ev.id != 0 {
 		delete(e.live, ev.id)
 	}
-	e.now = ev.at
 	e.pending--
-	e.fired++
 	fn := ev.fn
 	e.release(ev)
 	fn()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestTimeArithmetic(t *testing.T) {
@@ -351,5 +352,58 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 			e.At(Time(j%97), func() {})
 		}
 		e.Run()
+	}
+}
+
+// TestSilentTickAllocatesNothing pins a tick timer's silent ticks at
+// zero allocations: no callback runs and the live map is not touched.
+func TestSilentTickAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	calls := 0
+	id := e.AfterCancellableTick(3, MaxTicks, func() { calls++ })
+	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
+		t.Fatalf("silent tick allocated %v times", n)
+	}
+	if calls != 0 {
+		t.Fatalf("a silent tick ran the callback %d times", calls)
+	}
+	if e.Fired() != 1001 || e.Now() != 3*1001 || e.Pending() != 1 || len(e.live) != 1 {
+		t.Fatalf("after 1001 ticks: fired %d now %v pending %d live %d", e.Fired(), e.Now(), e.Pending(), len(e.live))
+	}
+	if !e.Cancel(id) || e.Pending() != 0 {
+		t.Fatal("the handle did not survive its silent ticks")
+	}
+}
+
+// TestEventSize pins the event at 48 bytes: the tick state rides in
+// two 32-bit fields, and cancellability is id != 0.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event is %d bytes, want 48", got)
+	}
+}
+
+// TestTickTimerRejectsOutOfRange covers the bounds the 32-bit tick
+// fields impose.
+func TestTickTimerRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		d Duration
+		n int64
+	}{{0, 1}, {-1, 1}, {MaxTickPeriod + 1, 1}, {1, 0}, {1, MaxTicks + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AfterCancellableTick(%v, %d) did not panic", c.d, c.n)
+				}
+			}()
+			NewEngine().AfterCancellableTick(c.d, c.n, func() {})
+		}()
+	}
+	e := NewEngine()
+	fired := Time(-1)
+	e.AfterCancellableTick(MaxTickPeriod, 2, func() { fired = e.Now() })
+	e.Run()
+	if want := Time(2 * MaxTickPeriod); fired != want || e.Fired() != 2 {
+		t.Fatalf("widest period fired at %v after %d events, want %v after 2", fired, e.Fired(), want)
 	}
 }
