@@ -96,3 +96,48 @@ func TestCheckpointConflictsWithStudyMode(t *testing.T) {
 		t.Fatal("combining Checkpoint with CheckpointPreemption accepted")
 	}
 }
+
+// TestCheckpointDurationsBelowResolution: a positive duration below the
+// simulator's 1µs resolution used to truncate to zero, silently turning
+// periodic saves off or save/restore free. It is an error now, on every
+// constructor that shares the config mapping; so is a period too long
+// for the engine's tick timer.
+func TestCheckpointDurationsBelowResolution(t *testing.T) {
+	bad := map[string]func(*Config){
+		"sub-µs period": func(c *Config) {
+			c.Checkpoint = CheckpointConfig{Enabled: true, Period: 500 * time.Nanosecond}
+		},
+		"sub-µs preemption cost": func(c *Config) { c.CheckpointPreemption = 999 * time.Nanosecond },
+		"period beyond the tick timer": func(c *Config) {
+			c.Checkpoint = CheckpointConfig{Enabled: true, Period: 72 * time.Minute}
+		},
+	}
+	for name, mutate := range bad {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("%s: NewSystem accepted it", name)
+		}
+		ccfg := DefaultClusterConfig()
+		ccfg.Config = cfg
+		if _, err := NewCluster(ccfg); err == nil {
+			t.Errorf("%s: NewCluster accepted it", name)
+		}
+		pcfg := DefaultServerlessConfig()
+		pcfg.Config = cfg
+		if _, err := NewPlatform(pcfg); err == nil {
+			t.Errorf("%s: NewPlatform accepted it", name)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Checkpoint = CheckpointConfig{Enabled: true, Period: time.Microsecond}
+	cfg.CheckpointPreemption = 0
+	if _, err := NewSystem(cfg); err != nil {
+		t.Fatalf("a 1µs period is valid: %v", err)
+	}
+	cfg = DefaultConfig()
+	cfg.CheckpointPreemption = time.Microsecond
+	if _, err := NewSystem(cfg); err != nil {
+		t.Fatalf("a 1µs preemption cost is valid: %v", err)
+	}
+}

@@ -145,8 +145,9 @@ type Config struct {
 	Interconnect string
 	// CheckpointPreemption switches batch-boundary preemption to classic
 	// mid-item checkpointing with the given state save/restore cost per
-	// side (0 keeps the paper's batch-preemption). Superseded by
-	// Checkpoint, the full subsystem; setting both is an error.
+	// side (0 keeps the paper's batch-preemption). A positive cost must
+	// be at least 1µs. Superseded by Checkpoint, the full subsystem;
+	// setting both is an error.
 	CheckpointPreemption time.Duration
 	// Checkpoint enables the full checkpoint/restore subsystem: items
 	// checkpoint at preemption points (periodically and on demand),
@@ -169,7 +170,8 @@ type CheckpointConfig struct {
 	// Enabled turns the subsystem on.
 	Enabled bool
 	// Period saves a checkpoint periodically while an item runs (zero:
-	// on-demand captures only, at preemptions).
+	// on-demand captures only, at preemptions). A positive period must
+	// lie between 1µs and ~71.6 minutes (2^32-1 µs).
 	Period time.Duration
 	// StateBytes is the per-task checkpoint state size used when an
 	// application declares none (default 1 MiB).
@@ -441,6 +443,15 @@ func (cfg Config) hvConfigs(specs []*BoardSpec, boards int) (base hv.Config, per
 		base.Interconnect = interconnect.DefaultNoC()
 	default:
 		return base, nil, nil, fmt.Errorf("nimblock: unknown interconnect %q", cfg.Interconnect)
+	}
+	// Simulated time has microsecond resolution: a positive duration
+	// below it would truncate to zero, turning save and restore free or
+	// periodic saves off without a word.
+	if cfg.CheckpointPreemption > 0 && cfg.CheckpointPreemption < time.Microsecond {
+		return base, nil, nil, fmt.Errorf("nimblock: CheckpointPreemption %v is below the 1µs simulation resolution", cfg.CheckpointPreemption)
+	}
+	if cfg.Checkpoint.Enabled && cfg.Checkpoint.Period > 0 && cfg.Checkpoint.Period < time.Microsecond {
+		return base, nil, nil, fmt.Errorf("nimblock: Checkpoint.Period %v is below the 1µs simulation resolution", cfg.Checkpoint.Period)
 	}
 	if cfg.CheckpointPreemption > 0 {
 		base.Preempt = hv.PreemptWithCheckpoint
