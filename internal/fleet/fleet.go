@@ -6,13 +6,16 @@
 // The single-engine cluster front-end tops out when one event queue
 // carries every board. The fleet splits the boards into N shards, each
 // a cluster-style group of hypervisors on its own sim.Engine, and
-// advances the shards in lockstep epochs: route the epoch's arrivals,
-// run every shard to the epoch boundary (in parallel, one worker per
-// shard at most), synchronize, repeat. Placement reads per-board state
-// only at epoch barriers — where every shard's clock sits at the same
-// instant — plus deterministic in-epoch accumulation, so results are
-// byte-identical for any shard count and any worker count: the same
-// discipline internal/experiments/pool.go uses for parallel runs.
+// advances the shards on a shared grid of epochs. Placement reads
+// per-board state only at epoch barriers, where every shard's clock
+// sits at the same instant, plus deterministic in-epoch accumulation,
+// so results are byte-identical for any shard count and any worker
+// count: the same discipline internal/experiments/pool.go uses for
+// parallel runs. Only placement reads a barrier, so the coordinator
+// takes one only before an epoch that routes arrivals; arrival-free
+// epochs are fused into one advance of every shard (in parallel, one
+// worker per shard at most), and once the stream ends each shard
+// drains on its own until it goes quiet.
 //
 // Workloads arrive as a workload.Stream, pulled one event at a time as
 // epochs advance; a fleet run over millions of arrivals holds O(1)
@@ -47,9 +50,9 @@ type Config struct {
 	// BoardConfigs, when non-nil, overrides HV per global board index,
 	// enabling a heterogeneous fleet. Its length must equal Boards.
 	BoardConfigs []hv.Config
-	// Epoch is the lockstep quantum (default 100 ms): placement sees
-	// board load refreshed once per epoch, and shards never diverge by
-	// more than one epoch.
+	// Epoch is the grid quantum (default 100 ms): an arrival is placed
+	// on board load as refreshed at the start of the epoch that holds
+	// it, and shard clocks meet at every epoch that routes.
 	Epoch sim.Duration
 	// Workers bounds the goroutines advancing shards; 0 means
 	// GOMAXPROCS. Either way it is capped at the shard count.
@@ -79,7 +82,9 @@ type Stats struct {
 	Submitted int
 	Completed int
 	Rejected  int
-	Epochs    int
+	// Epochs counts grid epochs from 0 to the makespan (or the
+	// horizon), whether or not a barrier was taken between them.
+	Epochs int
 	// EventsFired sums simulator events across every shard engine.
 	EventsFired int64
 	// Makespan is the epoch boundary at which the fleet went quiescent.

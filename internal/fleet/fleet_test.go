@@ -183,6 +183,14 @@ func TestFleetRegistryMetrics(t *testing.T) {
 			t.Fatalf("shard %d pending %v after quiescence", s, p)
 		}
 	}
+	// The fused loop skips barriers nothing reads, but the run always
+	// ends with one at the makespan.
+	if got, want := f.gauges.epoch.Value(), f.Stats().Makespan.Seconds(); got != want {
+		t.Fatalf("fleet_epoch_seconds = %v, makespan %v", got, want)
+	}
+	if p := f.gauges.pending.Value(); p != 0 {
+		t.Fatalf("fleet_pending = %v after quiescence", p)
+	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ func (f *Fleet) initInstruments() {
 	ins := &instruments{
 		submitted: reg.Counter("fleet_submitted_total", "Arrivals offered to the fleet router."),
 		rejected:  reg.Counter("fleet_rejected_total", "Arrivals the fleet shed or could not place."),
-		pending:   reg.Gauge("fleet_pending", "Unfinished submissions across all shards at the last epoch barrier."),
-		epoch:     reg.Gauge("fleet_epoch_seconds", "Simulated time of the last completed epoch barrier."),
+		pending:   reg.Gauge("fleet_pending", "Unfinished submissions across all shards at the last barrier: one is taken before each epoch that routes arrivals, and one at the makespan."),
+		epoch:     reg.Gauge("fleet_epoch_seconds", "Simulated time of the last barrier: one is taken before each epoch that routes arrivals, and one at the makespan."),
 	}
 	for s := range f.shards {
 		ins.shardSubmitted = append(ins.shardSubmitted, reg.Counter(
@@ -37,7 +37,7 @@ func (f *Fleet) initInstruments() {
 			fmt.Sprintf("Submissions routed to shard %d.", s)))
 		ins.shardPending = append(ins.shardPending, reg.Gauge(
 			fmt.Sprintf("fleet_shard%d_pending", s),
-			fmt.Sprintf("Unfinished submissions on shard %d at the last epoch barrier.", s)))
+			fmt.Sprintf("Unfinished submissions on shard %d at the last barrier (before each routing epoch, and at the makespan).", s)))
 	}
 	f.gauges = ins
 }
