@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 
 	"nimblock/internal/experiments"
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: all, table1, table2, table3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig7ablation, interconnect, scaleout, slotsweep, utilization, optimality, preempt, reconfigsweep, loadsweep, estimates, chaos, overload, checkpoint, failover, hetero, fleet")
+		exp        = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ", "))
 		quick      = flag.Bool("quick", false, "reduced scale (2 sequences x 8 events) for fast runs")
 		seed       = flag.Int64("seed", 0, "override the base random seed")
 		workers    = flag.Int("workers", 0, "worker pool size for independent runs (0: NIMBLOCK_PARALLEL or GOMAXPROCS; 1: serial)")
@@ -84,10 +85,8 @@ func main() {
 			fail(f.Close())
 		}()
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
+	want, err := parseExperiments(*exp)
+	fail(err)
 	all := want["all"]
 	run := func(name string) bool { return all || want[name] }
 
@@ -247,6 +246,28 @@ func main() {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
+}
+
+// experimentNames lists every name -exp accepts.
+var experimentNames = []string{
+	"all", "table1", "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+	"fig7ablation", "interconnect", "scaleout", "slotsweep", "utilization", "optimality", "preempt",
+	"reconfigsweep", "loadsweep", "estimates", "chaos", "overload", "checkpoint", "failover", "hetero", "fleet",
+}
+
+// parseExperiments splits a comma-separated -exp value into the set of
+// requested experiments, rejecting any name not in experimentNames so
+// a typo fails instead of silently running nothing.
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experimentNames, e) {
+			return nil, fmt.Errorf("unknown experiment %q (known: %s)", e, strings.Join(experimentNames, ", "))
+		}
+		want[e] = true
+	}
+	return want, nil
 }
 
 func fail(err error) {
